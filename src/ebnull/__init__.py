@@ -12,15 +12,11 @@ __version__ = "0.1.0"
 from .distributions import (
     SkewNormalParams,
     mills_ratio,
-    owens_t,
     skew_normal_cdf,
-    skew_normal_log_pdf,
     skew_normal_pdf,
     std_normal_cdf,
-    std_normal_log_pdf,
     std_normal_pdf,
     std_normal_quantile,
-    truncated_normal_logpdf,
 )
 from .nullmodel import (
     GaussianNull,
@@ -71,15 +67,11 @@ __all__ = [
     # distributions
     "SkewNormalParams",
     "mills_ratio",
-    "owens_t",
     "skew_normal_cdf",
-    "skew_normal_log_pdf",
     "skew_normal_pdf",
     "std_normal_cdf",
-    "std_normal_log_pdf",
     "std_normal_pdf",
     "std_normal_quantile",
-    "truncated_normal_logpdf",
     # null model
     "GaussianNull",
     "MixtureNull",

@@ -34,17 +34,19 @@ from .nullmodel import (
     TruncationRule,
     select_null,
 )
-from .procedures import bh, c_storey_bh, d_storey_bh, storey_bh, storey_pi0
+from .procedures import storey_pi0
 from .pvalues import eb_pvalues, standard_pvalues
 from .simulate import (
+    DEFAULT_METHODS,
+    METHOD_NAMES,
     HalfNormalPrior,
     SimScenario,
     TwoPointPrior,
     pvalue_histogram,
+    run_methods,
     run_scenario,
 )
 
-DEFAULT_METHODS = ("stbh", "c-stbh", "d-stbh", "proposed")
 DEFAULT_RHO_GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 DEFAULT_SIGMA0_GRID = (1.0, 1.2, 1.4, 1.6, 1.8, 2.0)
 
@@ -218,14 +220,8 @@ def cmd_fit_null(args) -> int:
 
 
 def _resolve_methods(args) -> tuple[str, ...]:
-    methods = tuple(args.method) if args.method else DEFAULT_METHODS
-    seen = set()
-    unique = []
-    for method in methods:
-        if method not in seen:
-            seen.add(method)
-            unique.append(method)
-    return tuple(unique)
+    # repeated --method flags run once, in order of first mention
+    return tuple(dict.fromkeys(args.method or DEFAULT_METHODS))
 
 
 def cmd_test(args) -> int:
@@ -236,23 +232,15 @@ def cmd_test(args) -> int:
     )
     p_std = standard_pvalues(sample)
     p_eb = eb_pvalues(sample, model)
-
-    results = {}
-    for method in methods:
-        if method == "bh":
-            results[method] = bh(p_std, args.q)
-        elif method == "stbh":
-            results[method] = storey_bh(p_std, args.q, lam=args.lambda_storey)
-        elif method == "c-stbh":
-            results[method] = c_storey_bh(
-                p_std, args.q, tau=args.tau, lam=args.lambda_storey
-            )
-        elif method == "d-stbh":
-            results[method] = d_storey_bh(
-                p_std, args.q, lam=args.lambda_discard, tau=args.tau
-            )
-        else:
-            results[method] = storey_bh(p_eb, args.q, lam=args.lambda_storey)
+    results = run_methods(
+        methods,
+        p_std,
+        p_eb,
+        q=args.q,
+        tau=args.tau,
+        lambda_storey=args.lambda_storey,
+        lambda_discard=args.lambda_discard,
+    )
 
     config = {
         "command": "test",
@@ -486,7 +474,7 @@ def _add_fit_flags(sub):
 def _add_method_flags(sub):
     sub.add_argument("--q", type=float, default=0.1, help="target FDR level")
     sub.add_argument("--method", action="append",
-                     choices=["bh", "stbh", "c-stbh", "d-stbh", "proposed"],
+                     choices=METHOD_NAMES,
                      help="procedure to run (repeatable; default all four "
                           "adaptive methods)")
     sub.add_argument("--tau", type=float, default=0.5,

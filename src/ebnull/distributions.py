@@ -1,10 +1,10 @@
 """Scalar distribution kernels used by the null-model fits.
 
 Everything here is elementary: standard-normal helpers, the Mills ratio,
-Owen's T, and the skew-normal family that arises when a one-sided Gaussian
-prior is convolved with unit Gaussian noise.  Heavy lifting is delegated to
-``scipy.special``; the functions exist to pin down conventions (shape
-parameters, log-space evaluation, domain checks) in one place.
+and the skew-normal family that arises when a one-sided Gaussian prior is
+convolved with unit Gaussian noise.  Heavy lifting, Owen's T included, is
+delegated to ``scipy.special``; the functions exist to pin down conventions
+(shape parameters, log-space evaluation, domain checks) in one place.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from scipy import special
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-def _maybe_scalar(out, *inputs):
-    """Return a python float when every input was scalar."""
-    if all(np.ndim(x) == 0 for x in inputs):
+def _maybe_scalar(out, x):
+    """Return a python float when the input was scalar."""
+    if np.ndim(x) == 0:
         return float(out)
     return out
 
@@ -28,13 +28,6 @@ def std_normal_pdf(x):
     """Density of N(0, 1)."""
     x = np.asarray(x, dtype=float)
     out = np.exp(-0.5 * (_LOG_2PI + x * x))
-    return _maybe_scalar(out, x)
-
-
-def std_normal_log_pdf(x):
-    """Log-density of N(0, 1)."""
-    x = np.asarray(x, dtype=float)
-    out = -0.5 * (_LOG_2PI + x * x)
     return _maybe_scalar(out, x)
 
 
@@ -70,12 +63,6 @@ def mills_ratio(x):
     return _maybe_scalar(out, x)
 
 
-def owens_t(h, a):
-    """Owen's T function T(h, a)."""
-    out = special.owens_t(np.asarray(h, dtype=float), np.asarray(a, dtype=float))
-    return _maybe_scalar(out, h, a)
-
-
 @dataclass(frozen=True)
 class SkewNormalParams:
     """Location / scale / shape triple for the skew-normal family.
@@ -107,19 +94,6 @@ def skew_normal_pdf(x, params: SkewNormalParams):
     return _maybe_scalar(out, x)
 
 
-def skew_normal_log_pdf(x, params: SkewNormalParams):
-    """Log of :func:`skew_normal_pdf`."""
-    x = np.asarray(x, dtype=float)
-    t = (x - params.location) / params.scale
-    out = (
-        np.log(2.0)
-        - np.log(params.scale)
-        - 0.5 * (_LOG_2PI + t * t)
-        + special.log_ndtr(params.shape * t)
-    )
-    return _maybe_scalar(out, x)
-
-
 def skew_normal_cdf(x, params: SkewNormalParams):
     """Skew-normal distribution function Phi(t) - 2 T(t, shape).
 
@@ -131,21 +105,3 @@ def skew_normal_cdf(x, params: SkewNormalParams):
     out = special.ndtr(t) - 2.0 * special.owens_t(t, params.shape)
     out = np.clip(out, 0.0, 1.0)
     return _maybe_scalar(out, x)
-
-
-def truncated_normal_logpdf(z, mean, cut):
-    """Log-density of N(mean, 1) truncated to the interval (-inf, cut].
-
-    ``cut`` may be ``+inf``, in which case this is the plain normal
-    log-density.  Points beyond the cut are a caller error, not a -inf.
-    """
-    z_arr = np.asarray(z, dtype=float)
-    if np.any(z_arr > cut):
-        raise ValueError("point lies above the truncation cut")
-    t = z_arr - mean
-    if np.isposinf(cut):
-        log_norm = 0.0
-    else:
-        log_norm = special.log_ndtr(cut - mean)
-    out = -0.5 * (_LOG_2PI + t * t) - log_norm
-    return _maybe_scalar(out, z)

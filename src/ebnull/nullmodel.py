@@ -476,28 +476,6 @@ def _solve_weights_newton(A, tol, tol_gap, max_iter, warm):
     return eta, obj, iterations, gap, converged
 
 
-def _solve_weights_em(A, tol, max_iter):
-    """Plain multiplicative (EM) ascent; the reference solver."""
-    n, K = A.shape
-    eta = np.full(K, 1.0 / K)
-    d = A @ eta
-    obj = float(np.log(d).sum())
-    iterations = 0
-    converged = False
-    while iterations < max_iter:
-        eta = _em_update(A, eta, d)
-        d = A @ eta
-        new_obj = float(np.log(d).sum())
-        iterations += 1
-        if abs(new_obj - obj) < tol:
-            obj = new_obj
-            converged = True
-            break
-        obj = new_obj
-    gap = float((A.T @ (1.0 / d)).max()) - n
-    return eta, obj, iterations, gap, converged
-
-
 def fit_mixture(
     sample,
     xi: float,
@@ -505,7 +483,6 @@ def fit_mixture(
     grid: np.ndarray | None = None,
     tol: float = 1e-9,
     max_iter: int = 10000,
-    solver: str = "newton",
 ) -> MixtureNull:
     """Fit mixture weights on a fixed grid of non-positive atoms.
 
@@ -514,10 +491,12 @@ def fit_mixture(
     weight coordinates (a concave program over the simplex); the plain
     mixing weights are recovered by undoing the tilt.
 
-    solver="newton" (default) polishes an EM warm start with active-set
-    Newton steps and certifies optimality through the gradient gap;
-    solver="em" is the plain multiplicative ascent run to an objective
-    change below ``tol`` or ``max_iter`` sweeps.
+    The weights come from 25 EM (multiplicative) sweeps polished by
+    active-set Newton steps on the support.  ``kkt_gap`` is the largest
+    directional derivative of adding any atom, a bound on the remaining
+    objective gap; ``converged`` means it fell to 1e-7.  The loop also
+    stops after three successive objective changes below ``tol``, or after
+    ``max_iter`` iterations in all.
     """
     values = _as_values(sample)
     z0 = _truncated(values, xi)
@@ -533,18 +512,11 @@ def fit_mixture(
             raise ValueError("grid atoms must be sorted ascending")
         if np.any(grid > 0.0):
             raise ValueError("grid atoms must be non-positive")
-    if solver not in ("newton", "em"):
-        raise ValueError(f"unknown solver {solver!r}")
 
     A, row_shift = _mixture_columns(z0, xi, grid)
-    if solver == "newton":
-        eta, obj, iterations, gap, converged = _solve_weights_newton(
-            A, tol=tol, tol_gap=1e-7, max_iter=max_iter, warm=25
-        )
-    else:
-        eta, obj, iterations, gap, converged = _solve_weights_em(
-            A, tol=tol, max_iter=max_iter
-        )
+    eta, obj, iterations, gap, converged = _solve_weights_newton(
+        A, tol=tol, tol_gap=1e-7, max_iter=max_iter, warm=25
+    )
     loglik = obj + float(row_shift.sum())
 
     # undo the truncation tilt: eta_k  propto  p_k * Phi(xi - mu_k)
@@ -582,9 +554,14 @@ def select_null(sample, rule: TruncationRule | None = None, k: int = 50) -> Null
     ``TIE_RTOL * max(1, |best loglik|)``, so ties within that tolerance go
     to the simpler family whatever the summation order.
 
-    Individual fit failures are tolerated as long as at least one family
-    fits; every failure is recorded as ``None`` in ``family_logliks``.
+    A fit that raises a numeric error (``ValueError``, which includes
+    ``LinAlgError``, or ``ArithmeticError``) or returns a NaN
+    log-likelihood counts as failed and is recorded as ``None`` in
+    ``family_logliks``; failures are tolerated as long as at least one
+    family fits.  Any other exception propagates.
     """
+    if k < 2:
+        raise ValueError("need at least 2 grid atoms")
     values = _as_values(sample)
     xi = resolve_cut(values, rule)
     n_truncated = int((values <= xi).sum())
@@ -597,8 +574,11 @@ def select_null(sample, rule: TruncationRule | None = None, k: int = 50) -> Null
         ("mixture", lambda: fit_mixture(values, xi, k=k)),
     ):
         try:
-            fits[name] = fitter()
-        except Exception as exc:  # noqa: BLE001 - survivors carry the selection
+            fit = fitter()
+            if math.isnan(fit.loglik):
+                raise ArithmeticError("log-likelihood is NaN")
+            fits[name] = fit
+        except (ValueError, ArithmeticError) as exc:
             fits[name] = None
             errors[name] = str(exc)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import std_normal_cdf
-from .nullmodel import NullModel, StatSample, null_cdf
+from .nullmodel import NullModel, _as_values, null_cdf
 
 KINDS = ("standard", "oracle", "empirical_bayes", "conditional")
 
@@ -55,15 +55,9 @@ class PValueVector:
         return int(self.values.size)
 
 
-def _statistics(sample) -> np.ndarray:
-    if isinstance(sample, StatSample):
-        return sample.values
-    return StatSample(np.asarray(sample, dtype=float)).values
-
-
 def standard_pvalues(sample) -> PValueVector:
     """One-sided p-values 1 - Phi(z) against the unit Gaussian null."""
-    z = _statistics(sample)
+    z = _as_values(sample)
     return PValueVector(values=std_normal_cdf(-z), kind="standard")
 
 
@@ -73,14 +67,14 @@ def oracle_pvalues(sample, true_null_cdf) -> PValueVector:
     ``true_null_cdf`` is any vectorized callable returning the null
     distribution function; only simulations can supply it.
     """
-    z = _statistics(sample)
+    z = _as_values(sample)
     vals = np.clip(1.0 - np.asarray(true_null_cdf(z), dtype=float), 0.0, 1.0)
     return PValueVector(values=vals, kind="oracle")
 
 
 def eb_pvalues(sample, model: NullModel) -> PValueVector:
     """P-values 1 - F0_hat(z) under the fitted null model."""
-    z = _statistics(sample)
+    z = _as_values(sample)
     vals = np.clip(1.0 - null_cdf(model, z), 0.0, 1.0)
     return PValueVector(values=vals, kind="empirical_bayes")
 

@@ -3,10 +3,12 @@
 Each replication draws m one-sided z-statistics from a two-group mixture:
 with probability pi0 the mean comes from a null prior supported on
 (-inf, 0], otherwise it sits at a fixed positive alternative location.
-The harness runs a configurable set of procedures per replication and
-aggregates false-discovery and true-positive rates with Monte Carlo
-standard errors.  Everything is deterministic given (scenario, base_seed):
-replication r uses the seed sequence (base_seed, r).
+The harness runs a configurable set of procedures per replication through
+``run_methods``, the one method dispatch that the ``ebnull test`` command
+shares, and aggregates false-discovery and true-positive rates with Monte
+Carlo standard errors.  ``METHOD_NAMES`` and ``DEFAULT_METHODS`` are the
+only lists of procedure names.  Everything is deterministic given
+(scenario, base_seed): replication r uses the seed sequence (base_seed, r).
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ from .procedures import (
     d_storey_bh,
     storey_bh,
 )
-from .pvalues import eb_pvalues, standard_pvalues
+from .pvalues import PValueVector, eb_pvalues, standard_pvalues
 
 METHOD_NAMES = ("bh", "stbh", "c-stbh", "d-stbh", "proposed")
+DEFAULT_METHODS = METHOD_NAMES[1:]  # every adaptive procedure, not plain BH
 
 
 # ---------------------------------------------------------------------------
@@ -166,17 +169,21 @@ def generate(scenario: SimScenario, rep_index: int) -> StatSample:
     return StatSample(values=values, is_alt=is_alt)
 
 
-def _run_methods(
-    sample: StatSample,
-    q: float,
+def run_methods(
     methods,
+    p_std: PValueVector,
+    p_eb: PValueVector | None,
+    q: float,
     tau: float,
     lambda_storey: float,
     lambda_discard: float,
-    xi_quantile: float,
-    mixture_k: int,
 ) -> dict[str, RejectionResult]:
-    p_std = standard_pvalues(sample)
+    """Rejection result of each named procedure, in the order given.
+
+    The baselines run on the standard p-values ``p_std``; "proposed" is
+    Storey-BH on the fitted-null p-values ``p_eb``, which the caller
+    computes (it may pass ``None`` when "proposed" is not requested).
+    """
     out: dict[str, RejectionResult] = {}
     for method in methods:
         if method == "bh":
@@ -188,10 +195,6 @@ def _run_methods(
         elif method == "d-stbh":
             out[method] = d_storey_bh(p_std, q, lam=lambda_discard, tau=tau)
         elif method == "proposed":
-            model = select_null(
-                sample, TruncationRule(quantile_level=xi_quantile), k=mixture_k
-            )
-            p_eb = eb_pvalues(sample, model)
             out[method] = storey_bh(p_eb, q, lam=lambda_storey)
         else:
             raise ValueError(f"unknown method {method!r}")
@@ -200,7 +203,7 @@ def _run_methods(
 
 def run_scenario(
     scenario: SimScenario,
-    methods=("stbh", "c-stbh", "d-stbh", "proposed"),
+    methods=DEFAULT_METHODS,
     tau: float = 0.5,
     lambda_storey: float = 0.5,
     lambda_discard: float = 0.25,
@@ -209,31 +212,42 @@ def run_scenario(
 ) -> SimSummary:
     """Run every replication of a scenario and aggregate error rates.
 
-    A replication that raises is dropped for all methods (keeping the
-    per-method averages paired) and counted in the summary; results do not
-    depend on iteration order beyond the deterministic per-rep seeding.
+    The null is fitted, once per replication, only when "proposed" is
+    requested.  A replication whose fit or procedures fail on a numeric
+    error is dropped for all methods (keeping the per-method averages
+    paired) and counted in the summary; any other exception propagates.
+    Results do not depend on iteration order beyond the deterministic
+    per-rep seeding.
     """
     methods = tuple(methods)
     for method in methods:
         if method not in METHOD_NAMES:
             raise ValueError(f"unknown method {method!r}")
+    fit_null = "proposed" in methods
+    if fit_null and mixture_k < 2:
+        raise ValueError("need at least 2 grid atoms")
     rows = {method: ([], []) for method in methods}  # fdp list, tpp list
     failures = 0
     for rep in range(scenario.n_reps):
         sample = generate(scenario, rep)
         try:
-            results = _run_methods(
-                sample,
-                scenario.q,
+            p_eb = None
+            if fit_null:
+                model = select_null(
+                    sample, TruncationRule(quantile_level=xi_quantile), k=mixture_k
+                )
+                p_eb = eb_pvalues(sample, model)
+            results = run_methods(
                 methods,
+                standard_pvalues(sample),
+                p_eb,
+                q=scenario.q,
                 tau=tau,
                 lambda_storey=lambda_storey,
                 lambda_discard=lambda_discard,
-                xi_quantile=xi_quantile,
-                mixture_k=mixture_k,
             )
-        except Exception:  # noqa: BLE001 - failed reps are tallied, not fatal
-            failures += 1
+        except (ValueError, ArithmeticError, RuntimeError):
+            failures += 1  # failed reps are tallied, not fatal
             continue
         for method, result in results.items():
             metrics = compute_metrics(result, sample.is_alt)

@@ -95,6 +95,16 @@ def test_fit_null_to_stdout(stats_file, capsys):
     assert report["n_truncated"] == 850
 
 
+def test_fit_null_rejects_single_atom_grid(stats_file, capsys):
+    # a one-atom grid is an error, not a silently dropped mixture family
+    assert main(["fit-null", "--input", stats_file, "--k", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert "grid atoms" in json.loads(lines[0])["error"]
+
+
 # ---------------------------------------------------------------------------
 # test command
 

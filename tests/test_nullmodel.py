@@ -263,12 +263,24 @@ def test_fit_mixture_newton_matches_em():
     rng = np.random.default_rng(23)
     z = np.where(rng.random(400) < 0.5, -1.0, 0.0) + rng.standard_normal(400)
     xi = float(np.quantile(z, 0.85))
-    newton = fit_mixture(z, xi=xi, k=20, solver="newton")
-    em = fit_mixture(z, xi=xi, k=20, solver="em")
+    newton = fit_mixture(z, xi=xi, k=20)
+
+    # plain multiplicative (EM) ascent on the tilted weights, the reference
+    z0 = z[z <= xi]
+    cols = norm.pdf(z0[:, None] - newton.grid) / norm.cdf(xi - newton.grid)
+    eta = np.full(newton.grid.size, 1.0 / newton.grid.size)
+    em_loglik = float(np.log(cols @ eta).sum())
+    for _ in range(10000):
+        eta = eta * (cols.T @ (1.0 / (cols @ eta))) / z0.size
+        prev, em_loglik = em_loglik, float(np.log(cols @ eta).sum())
+        if abs(em_loglik - prev) < 1e-9:
+            break
+    em_gap = float((cols.T @ (1.0 / (cols @ eta))).max()) - z0.size
+
     assert newton.converged
-    assert newton.loglik >= em.loglik - 1e-6
+    assert newton.loglik >= em_loglik - 1e-6
     # the gradient gap bounds each solver's distance from the optimum
-    assert newton.loglik - em.loglik <= em.kkt_gap + 1e-6
+    assert newton.loglik - em_loglik <= em_gap + 1e-6
 
 
 def test_fit_mixture_explicit_grid():
@@ -292,8 +304,6 @@ def test_fit_mixture_grid_validation():
         fit_mixture(z, xi=1.0, grid=np.array([-1.0, 0.5]))
     with pytest.raises(ValueError):
         fit_mixture(z, xi=1.0, grid=np.array([[-1.0, 0.0]]))
-    with pytest.raises(ValueError):
-        fit_mixture(z, xi=1.0, solver="bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +389,44 @@ def test_select_null_all_fits_failing():
     with pytest.raises(RuntimeError):
         select_null(StatSample(values=[0.0, 10.0]),
                     TruncationRule(explicit_cut=0.5))
+
+
+def test_select_null_drops_nan_loglik():
+    # one statistic at -1e160 overflows the Gaussian fit's sums into a NaN
+    # log-likelihood; that fit must fail, not win every comparison
+    z = np.append(np.random.default_rng(1).standard_normal(50), -1e160)
+    with np.errstate(over="ignore", invalid="ignore"):
+        model = select_null(StatSample(values=z))
+    assert model.family == "mixture"
+    assert model.family_logliks["gaussian"] is None
+    assert np.isfinite(model.loglik)
+
+
+def test_select_null_validates_k():
+    z = StatSample(values=np.random.default_rng(2).standard_normal(200))
+    for k in (1, 0):
+        with pytest.raises(ValueError, match="grid atoms"):
+            select_null(z, k=k)
+
+
+def test_select_null_numeric_errors_only(monkeypatch):
+    """A numeric error in one family drops that family; any other exception
+    is a bug and propagates."""
+    z = StatSample(values=np.random.default_rng(3).normal(-0.5, 1.0, 300))
+
+    def raising(exc):
+        def fit(*args, **kwargs):
+            raise exc
+        return fit
+
+    monkeypatch.setattr(nm, "fit_skew_normal", raising(ValueError("no fit")))
+    model = select_null(z)
+    assert model.family_logliks["skew_normal"] is None
+    assert model.family_logliks["gaussian"] is not None
+
+    monkeypatch.setattr(nm, "fit_skew_normal", raising(TypeError("bug")))
+    with pytest.raises(TypeError):
+        select_null(z)
 
 
 # ---------------------------------------------------------------------------

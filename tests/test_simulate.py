@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+import ebnull.nullmodel as nm
 from ebnull.nullmodel import GaussianNull, NullModel
 from ebnull.pvalues import PValueVector
 from ebnull.simulate import (
@@ -175,6 +176,36 @@ def test_run_scenario_rejects_unknown_method():
     scenario = SimScenario(null_prior=TwoPointPrior(0.5), m=100, n_reps=1)
     with pytest.raises(ValueError):
         run_scenario(scenario, methods=("bh", "mystery"))
+
+
+def test_run_scenario_validates_k_up_front():
+    scenario = SimScenario(null_prior=TwoPointPrior(0.5), m=100, n_reps=1)
+    with pytest.raises(ValueError, match="grid atoms"):
+        run_scenario(scenario, methods=("bh", "proposed"), mixture_k=1)
+    # without the fitted null the grid size is never used
+    summary = run_scenario(scenario, methods=("bh",), mixture_k=1)
+    assert summary.n_failures == 0
+
+
+def test_run_scenario_failure_causes(monkeypatch):
+    """Replications whose fits all fail numerically are tallied; a
+    programming error in a fit propagates instead of being counted."""
+    scenario = SimScenario(null_prior=TwoPointPrior(0.5), m=200, n_reps=2)
+
+    def raising(exc):
+        def fit(*args, **kwargs):
+            raise exc
+        return fit
+
+    for name in ("fit_gaussian", "fit_skew_normal", "fit_mixture"):
+        monkeypatch.setattr(nm, name, raising(ValueError("no fit")))
+    summary = run_scenario(scenario, methods=("bh", "proposed"))
+    assert summary.n_failures == 2
+    assert summary.n_reps_used == 0
+
+    monkeypatch.setattr(nm, "fit_skew_normal", raising(TypeError("bug")))
+    with pytest.raises(TypeError):
+        run_scenario(scenario, methods=("bh", "proposed"))
 
 
 # ---------------------------------------------------------------------------
