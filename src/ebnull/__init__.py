@@ -13,10 +13,7 @@ from .distributions import (
     SkewNormalParams,
     mills_ratio,
     skew_normal_cdf,
-    skew_normal_pdf,
     std_normal_cdf,
-    std_normal_pdf,
-    std_normal_quantile,
 )
 from .nullmodel import (
     GaussianNull,
@@ -28,8 +25,6 @@ from .nullmodel import (
     fit_gaussian,
     fit_mixture,
     fit_skew_normal,
-    null_cdf,
-    null_pdf,
     resolve_cut,
     select_null,
 )
@@ -56,7 +51,6 @@ from .simulate import (
     SimScenario,
     SimSummary,
     TwoPointPrior,
-    density_overlay,
     generate,
     pvalue_histogram,
     run_scenario,
@@ -68,10 +62,7 @@ __all__ = [
     "SkewNormalParams",
     "mills_ratio",
     "skew_normal_cdf",
-    "skew_normal_pdf",
     "std_normal_cdf",
-    "std_normal_pdf",
-    "std_normal_quantile",
     # null model
     "GaussianNull",
     "MixtureNull",
@@ -82,8 +73,6 @@ __all__ = [
     "fit_gaussian",
     "fit_mixture",
     "fit_skew_normal",
-    "null_cdf",
-    "null_pdf",
     "resolve_cut",
     "select_null",
     # p-values
@@ -107,7 +96,6 @@ __all__ = [
     "SimScenario",
     "SimSummary",
     "TwoPointPrior",
-    "density_overlay",
     "generate",
     "pvalue_histogram",
     "run_scenario",

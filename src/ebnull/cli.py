@@ -25,15 +25,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .nullmodel import (
-    GaussianNull,
-    MixtureNull,
-    NullModel,
-    SkewNormalNull,
-    StatSample,
-    TruncationRule,
-    select_null,
-)
+from .nullmodel import NullModel, StatSample, TruncationRule, select_null
 from .procedures import storey_pi0
 from .pvalues import eb_pvalues, standard_pvalues
 from .simulate import (
@@ -164,34 +156,10 @@ def _json_report(payload: dict, output: str | None):
     _write_output(json.dumps(_fmt(payload), indent=2) + "\n", output)
 
 
-def _variant_params(model: NullModel) -> dict:
-    variant = model.variant
-    if isinstance(variant, GaussianNull):
-        return {
-            "mu0": variant.mu0,
-            "iterations": variant.iterations,
-            "converged": variant.converged,
-        }
-    if isinstance(variant, SkewNormalNull):
-        return {
-            "sigma0": variant.sigma0,
-            "eta": variant.eta,
-            "at_boundary": variant.at_boundary,
-        }
-    assert isinstance(variant, MixtureNull)
-    return {
-        "grid": variant.grid,
-        "weights": variant.weights_p,
-        "iterations": variant.iterations,
-        "converged": variant.converged,
-        "kkt_gap": variant.kkt_gap,
-    }
-
-
 def _fit_block(model: NullModel) -> dict:
     return {
         "family": model.family,
-        "params": _variant_params(model),
+        "params": model.variant.report_params(),
         "logliks": model.family_logliks,
         "xi": model.cut_xi,
         "n_truncated": model.n_truncated,
@@ -540,10 +508,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CLIError as exc:
-        sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
-        return 1
-    except (ValueError, RuntimeError) as exc:
+    except (CLIError, ValueError, RuntimeError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 1
 

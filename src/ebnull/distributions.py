@@ -1,10 +1,11 @@
 """Scalar distribution kernels used by the null-model fits.
 
-Everything here is elementary: standard-normal helpers, the Mills ratio,
-and the skew-normal family that arises when a one-sided Gaussian prior is
-convolved with unit Gaussian noise.  Heavy lifting, Owen's T included, is
-delegated to ``scipy.special``; the functions exist to pin down conventions
-(shape parameters, log-space evaluation, domain checks) in one place.
+Everything here is elementary: the standard-normal distribution function,
+the Mills ratio, and the distribution function of the skew-normal family
+that arises when a one-sided Gaussian prior is convolved with unit
+Gaussian noise.  Heavy lifting, Owen's T included, is delegated to
+``scipy.special``; the functions exist to pin down conventions (shape
+parameters, log-space evaluation, domain checks) in one place.
 """
 
 from __future__ import annotations
@@ -24,31 +25,10 @@ def _maybe_scalar(out, x):
     return out
 
 
-def std_normal_pdf(x):
-    """Density of N(0, 1)."""
-    x = np.asarray(x, dtype=float)
-    out = np.exp(-0.5 * (_LOG_2PI + x * x))
-    return _maybe_scalar(out, x)
-
-
 def std_normal_cdf(x):
     """Distribution function of N(0, 1)."""
     out = special.ndtr(np.asarray(x, dtype=float))
     return _maybe_scalar(out, x)
-
-
-def std_normal_quantile(u):
-    """Inverse of :func:`std_normal_cdf` on the open unit interval.
-
-    Raises ``ValueError`` outside (0, 1); the endpoints have no finite
-    quantile and silently returning infinities would poison downstream
-    threshold arithmetic.
-    """
-    u_arr = np.asarray(u, dtype=float)
-    if np.any(~np.isfinite(u_arr)) or np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
-        raise ValueError("quantile argument must lie strictly inside (0, 1)")
-    out = special.ndtri(u_arr)
-    return _maybe_scalar(out, u)
 
 
 def mills_ratio(x):
@@ -82,16 +62,6 @@ class SkewNormalParams:
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
         if not (np.isfinite(self.location) and np.isfinite(self.shape)):
             raise ValueError("location and shape must be finite")
-
-
-def skew_normal_pdf(x, params: SkewNormalParams):
-    """Skew-normal density (2/scale) * phi(t) * Phi(shape * t)."""
-    x = np.asarray(x, dtype=float)
-    t = (x - params.location) / params.scale
-    out = (2.0 / params.scale) * np.exp(
-        -0.5 * (_LOG_2PI + t * t) + special.log_ndtr(params.shape * t)
-    )
-    return _maybe_scalar(out, x)
 
 
 def skew_normal_cdf(x, params: SkewNormalParams):

@@ -4,7 +4,9 @@ One-sided testing with z-scores whose null means may sit below zero makes
 the textbook p-value 1 - Phi(z) conservative.  The remedy implemented here
 fits the marginal null law F0 on the statistics falling below a data-chosen
 cut (where alternatives are rare), then hands the fitted F0 to the p-value
-layer.  Three nested families are fitted on the same truncated subsample:
+layer.  Each fitted family is a null law in its own right: it evaluates its
+``cdf`` and survival function ``sf`` and names the parameters a report
+shows.  Three nested families are fitted on the same truncated subsample:
 
 * a shifted Gaussian N(mu0, 1) with mu0 <= 0 (point-mass prior),
 * a skew-normal arising from a one-sided Gaussian prior spread sigma0,
@@ -24,12 +26,7 @@ import numpy as np
 from scipy import special
 from scipy.optimize import minimize_scalar
 
-from .distributions import (
-    SkewNormalParams,
-    mills_ratio,
-    skew_normal_cdf,
-    skew_normal_pdf,
-)
+from .distributions import SkewNormalParams, _maybe_scalar, mills_ratio, skew_normal_cdf
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -126,7 +123,7 @@ def _truncated(values: np.ndarray, xi: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# fitted-family containers
+# fitted null laws: each family evaluates itself and names its report fields
 
 
 @dataclass(frozen=True)
@@ -138,6 +135,18 @@ class GaussianNull:
     iterations: int
     converged: bool
 
+    family = "gaussian"
+
+    def cdf(self, z):
+        return special.ndtr(np.asarray(z, dtype=float) - self.mu0)
+
+    def sf(self, z):
+        return special.ndtr(self.mu0 - np.asarray(z, dtype=float))
+
+    def report_params(self) -> dict:
+        return {"mu0": self.mu0, "iterations": self.iterations,
+                "converged": self.converged}
+
 
 @dataclass(frozen=True)
 class SkewNormalNull:
@@ -145,12 +154,16 @@ class SkewNormalNull:
 
     ``eta = log(sigma0)`` is the internal optimization variable;
     ``at_boundary`` flags an estimate pinned at the search-interval edge.
+    The survival function is ``1 - cdf``, which loses relative accuracy in
+    the far right tail.
     """
 
     sigma0: float
     eta: float
     loglik: float
     at_boundary: bool = False
+
+    family = "skew_normal"
 
     @property
     def params(self) -> SkewNormalParams:
@@ -159,6 +172,16 @@ class SkewNormalNull:
             scale=math.sqrt(1.0 + self.sigma0**2),
             shape=-self.sigma0,
         )
+
+    def cdf(self, z):
+        return skew_normal_cdf(z, self.params)
+
+    def sf(self, z):
+        return 1.0 - self.cdf(z)
+
+    def report_params(self) -> dict:
+        return {"sigma0": self.sigma0, "eta": self.eta,
+                "at_boundary": self.at_boundary}
 
 
 @dataclass(frozen=True)
@@ -179,10 +202,30 @@ class MixtureNull:
     converged: bool
     kkt_gap: float
 
+    family = "mixture"
+
+    # the weights sum to 1 only up to rounding, hence the clips
+    def cdf(self, z):
+        t = np.asarray(z, dtype=float)[..., None] - self.grid
+        return np.clip(special.ndtr(t) @ self.weights_p, 0.0, 1.0)
+
+    def sf(self, z):
+        t = self.grid - np.asarray(z, dtype=float)[..., None]
+        return np.clip(special.ndtr(t) @ self.weights_p, 0.0, 1.0)
+
+    def report_params(self) -> dict:
+        return {"grid": self.grid, "weights": self.weights_p,
+                "iterations": self.iterations, "converged": self.converged,
+                "kkt_gap": self.kkt_gap}
+
 
 @dataclass(frozen=True)
 class NullModel:
-    """Selected null family plus the truncation context it was fitted under."""
+    """Selected null family plus the truncation context it was fitted under.
+
+    ``cdf`` and ``sf`` delegate to the fitted law and return a float for
+    scalar input.
+    """
 
     variant: GaussianNull | SkewNormalNull | MixtureNull
     cut_xi: float
@@ -191,24 +234,17 @@ class NullModel:
 
     @property
     def family(self) -> str:
-        return _FAMILY_NAMES[type(self.variant)]
+        return self.variant.family
 
     @property
     def loglik(self) -> float:
         return self.variant.loglik
 
     def cdf(self, z):
-        return null_cdf(self, z)
+        return _maybe_scalar(self.variant.cdf(z), z)
 
-    def pdf(self, z):
-        return null_pdf(self, z)
-
-
-_FAMILY_NAMES = {
-    GaussianNull: "gaussian",
-    SkewNormalNull: "skew_normal",
-    MixtureNull: "mixture",
-}
+    def sf(self, z):
+        return _maybe_scalar(self.variant.sf(z), z)
 
 
 # ---------------------------------------------------------------------------
@@ -539,9 +575,7 @@ def fit_mixture(
 
 def _beats(challenger: float, incumbent: float) -> bool:
     """True when a richer family's log-likelihood leads by more than the tie
-    tolerance; an infinite incumbent falls back to the plain comparison."""
-    if math.isinf(incumbent):
-        return challenger > incumbent
+    tolerance."""
     return challenger - incumbent > TIE_RTOL * max(1.0, abs(incumbent))
 
 
@@ -549,13 +583,13 @@ def select_null(sample, rule: TruncationRule | None = None, k: int = 50) -> Null
     """Fit all three null families on the same truncated subsample and keep
     the one with the largest log-likelihood.
 
-    Families are compared from simplest to richest; a later one replaces
-    the current best only when its log-likelihood is higher by more than
-    ``TIE_RTOL * max(1, |best loglik|)``, so ties within that tolerance go
-    to the simpler family whatever the summation order.
+    Families are fitted and compared from simplest to richest; a later one
+    replaces the current best only when its log-likelihood is higher by
+    more than ``TIE_RTOL * max(1, |best loglik|)``, so ties within that
+    tolerance go to the simpler family whatever the summation order.
 
     A fit that raises a numeric error (``ValueError``, which includes
-    ``LinAlgError``, or ``ArithmeticError``) or returns a NaN
+    ``LinAlgError``, or ``ArithmeticError``) or returns a non-finite
     log-likelihood counts as failed and is recorded as ``None`` in
     ``family_logliks``; failures are tolerated as long as at least one
     family fits.  Any other exception propagates.
@@ -566,77 +600,29 @@ def select_null(sample, rule: TruncationRule | None = None, k: int = 50) -> Null
     xi = resolve_cut(values, rule)
     n_truncated = int((values <= xi).sum())
 
-    fits: dict[str, GaussianNull | SkewNormalNull | MixtureNull | None] = {}
+    best = None
+    logliks: dict[str, float | None] = {}
     errors: dict[str, str] = {}
     for name, fitter in (
-        ("gaussian", lambda: fit_gaussian(values, xi)),
-        ("skew_normal", lambda: fit_skew_normal(values, xi)),
-        ("mixture", lambda: fit_mixture(values, xi, k=k)),
+        (GaussianNull.family, lambda: fit_gaussian(values, xi)),
+        (SkewNormalNull.family, lambda: fit_skew_normal(values, xi)),
+        (MixtureNull.family, lambda: fit_mixture(values, xi, k=k)),
     ):
         try:
             fit = fitter()
-            if math.isnan(fit.loglik):
-                raise ArithmeticError("log-likelihood is NaN")
-            fits[name] = fit
+            if not math.isfinite(fit.loglik):
+                raise ArithmeticError(f"log-likelihood is {fit.loglik}")
         except (ValueError, ArithmeticError) as exc:
-            fits[name] = None
+            logliks[name] = None
             errors[name] = str(exc)
-
-    best = None
-    for name in ("gaussian", "skew_normal", "mixture"):
-        fit = fits[name]
-        if fit is None:
             continue
+        logliks[name] = float(fit.loglik)
         if best is None or _beats(fit.loglik, best.loglik):
             best = fit
     if best is None:
-        details = "; ".join(f"{k}: {v}" for k, v in errors.items())
+        details = "; ".join(f"{name}: {msg}" for name, msg in errors.items())
         raise RuntimeError(f"all null-family fits failed ({details})")
 
-    logliks = {
-        name: (None if fit is None else float(fit.loglik))
-        for name, fit in fits.items()
-    }
     return NullModel(
         variant=best, cut_xi=xi, n_truncated=n_truncated, family_logliks=logliks
     )
-
-
-def _variant_of(model):
-    return model.variant if isinstance(model, NullModel) else model
-
-
-def null_cdf(model, z):
-    """Distribution function of the fitted null law at ``z``."""
-    variant = _variant_of(model)
-    z_arr = np.asarray(z, dtype=float)
-    if isinstance(variant, GaussianNull):
-        out = special.ndtr(z_arr - variant.mu0)
-    elif isinstance(variant, SkewNormalNull):
-        out = skew_normal_cdf(z_arr, variant.params)
-    elif isinstance(variant, MixtureNull):
-        out = special.ndtr(z_arr[..., None] - variant.grid) @ variant.weights_p
-    else:
-        raise TypeError(f"not a fitted null model: {type(variant).__name__}")
-    if np.ndim(z) == 0:
-        return float(out)
-    return out
-
-
-def null_pdf(model, z):
-    """Density of the fitted null law at ``z``."""
-    variant = _variant_of(model)
-    z_arr = np.asarray(z, dtype=float)
-    if isinstance(variant, GaussianNull):
-        t = z_arr - variant.mu0
-        out = np.exp(-0.5 * (_LOG_2PI + t * t))
-    elif isinstance(variant, SkewNormalNull):
-        out = skew_normal_pdf(z_arr, variant.params)
-    elif isinstance(variant, MixtureNull):
-        t = z_arr[..., None] - variant.grid
-        out = np.exp(-0.5 * (_LOG_2PI + t * t)) @ variant.weights_p
-    else:
-        raise TypeError(f"not a fitted null model: {type(variant).__name__}")
-    if np.ndim(z) == 0:
-        return float(out)
-    return out

@@ -2,8 +2,9 @@
 
 Four flavors share one container: the textbook tail probability under
 N(0, 1), the oracle version using the true marginal null, the
-empirical-Bayes version using a fitted null model, and conditionally
-rescaled p-values restricted to those at or below a threshold tau.
+empirical-Bayes version read off the survival function of a fitted null
+model, and conditionally rescaled p-values restricted to those at or
+below a threshold tau.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import std_normal_cdf
-from .nullmodel import NullModel, _as_values, null_cdf
+from .nullmodel import NullModel, _as_values
 
 KINDS = ("standard", "oracle", "empirical_bayes", "conditional")
 
@@ -73,9 +74,11 @@ def oracle_pvalues(sample, true_null_cdf) -> PValueVector:
 
 
 def eb_pvalues(sample, model: NullModel) -> PValueVector:
-    """P-values 1 - F0_hat(z) under the fitted null model."""
+    """P-values P(Z >= z) under the fitted null model, read off its survival
+    function ``model.sf`` rather than computed as 1 - F0_hat(z), so they
+    stay positive in the right tail where 1 - F0_hat rounds to 0."""
     z = _as_values(sample)
-    vals = np.clip(1.0 - null_cdf(model, z), 0.0, 1.0)
+    vals = np.clip(model.sf(z), 0.0, 1.0)
     return PValueVector(values=vals, kind="empirical_bayes")
 
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .distributions import SkewNormalParams, skew_normal_cdf, std_normal_pdf
-from .nullmodel import NullModel, StatSample, TruncationRule, null_pdf, select_null
+from .distributions import SkewNormalParams, skew_normal_cdf
+from .nullmodel import StatSample, TruncationRule, select_null
 from .procedures import (
     RejectionResult,
     bh,
@@ -213,9 +213,12 @@ def run_scenario(
     """Run every replication of a scenario and aggregate error rates.
 
     The null is fitted, once per replication, only when "proposed" is
-    requested.  A replication whose fit or procedures fail on a numeric
-    error is dropped for all methods (keeping the per-method averages
-    paired) and counted in the summary; any other exception propagates.
+    requested.  An invalid ``xi_quantile`` (for any method set) or
+    ``mixture_k`` (when "proposed" is requested) raises ``ValueError``
+    before the first replication is drawn.  A replication whose fit or
+    procedures fail on a numeric error is dropped for all methods (keeping
+    the per-method averages paired) and counted in the summary; any other
+    exception propagates.
     Results do not depend on iteration order beyond the deterministic
     per-rep seeding.
     """
@@ -223,6 +226,7 @@ def run_scenario(
     for method in methods:
         if method not in METHOD_NAMES:
             raise ValueError(f"unknown method {method!r}")
+    rule = TruncationRule(quantile_level=xi_quantile)
     fit_null = "proposed" in methods
     if fit_null and mixture_k < 2:
         raise ValueError("need at least 2 grid atoms")
@@ -233,10 +237,7 @@ def run_scenario(
         try:
             p_eb = None
             if fit_null:
-                model = select_null(
-                    sample, TruncationRule(quantile_level=xi_quantile), k=mixture_k
-                )
-                p_eb = eb_pvalues(sample, model)
+                p_eb = eb_pvalues(sample, select_null(sample, rule, k=mixture_k))
             results = run_methods(
                 methods,
                 standard_pvalues(sample),
@@ -302,22 +303,3 @@ def pvalue_histogram(pvalues, bins: int = 50) -> np.ndarray:
     idx = np.clip(np.searchsorted(edges, vals, side="left"), 1, bins) - 1
     return np.bincount(idx, minlength=bins).astype(np.intp)
 
-
-def density_overlay(
-    sample, model: NullModel, pi0_hat: float, grid_points: int = 200
-):
-    """Null-density curves for plotting over a statistic histogram.
-
-    Returns (grid, fitted, standard): an even grid spanning the sample
-    range padded by one unit, the fitted null density scaled by pi0_hat,
-    and the unit-Gaussian density scaled the same way.
-    """
-    if grid_points < 2:
-        raise ValueError("need at least two grid points")
-    values = sample.values if isinstance(sample, StatSample) else np.asarray(
-        sample, dtype=float
-    )
-    grid = np.linspace(values.min() - 1.0, values.max() + 1.0, grid_points)
-    fitted = pi0_hat * null_pdf(model, grid)
-    standard = pi0_hat * std_normal_pdf(grid)
-    return grid, fitted, standard

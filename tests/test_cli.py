@@ -105,6 +105,24 @@ def test_fit_null_rejects_single_atom_grid(stats_file, capsys):
     assert "grid atoms" in json.loads(lines[0])["error"]
 
 
+def test_fit_null_report_is_strict_json(tmp_path):
+    # one statistic at -1e160 drives two fits to non-finite log-likelihoods;
+    # they must be reported as failed (null), never as -Infinity or NaN
+    z = np.append(np.random.default_rng(1).standard_normal(50), -1e160)
+    path = _write(tmp_path / "huge.txt", "\n".join(repr(float(v)) for v in z) + "\n")
+    out = tmp_path / "fit.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["fit-null", "--input", path, "--output", str(out)]) == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    report = json.loads(out.read_text(), parse_constant=reject)
+    assert report["logliks"]["skew_normal"] is None
+    assert report["logliks"]["gaussian"] is None
+    assert report["family"] == "mixture"
+
+
 # ---------------------------------------------------------------------------
 # test command
 
@@ -171,6 +189,18 @@ def test_simulate_bad_grid(capsys):
     assert main(["simulate", "--rho-grid", "abc", "--n-reps", "1"]) == 1
     err = json.loads(capsys.readouterr().err)
     assert "rho-grid" in err["error"]
+
+
+def test_simulate_rejects_bad_xi_quantile(capsys):
+    # a configuration error, not a run of failed replications with nan rows
+    assert main(["simulate", "--rho-grid", "0.8", "--n-reps", "2",
+                 "--xi-quantile", "2", "--method", "bh",
+                 "--method", "proposed"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert "quantile level" in json.loads(lines[0])["error"]
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,21 @@ log-likelihood written out with scipy.stats primitives, plus the
 truncated-mean stationarity identity via scipy.stats.truncnorm.  The
 skew-normal and mixture fits are checked for dominance over dense
 parameter grids and for internal consistency of their reported values.
+The fitted null laws are checked against scipy.stats densities, against
+50-digit mpmath tail probabilities, and by hypothesis properties.
 """
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 from scipy.integrate import quad
-from scipy.stats import norm, truncnorm
+from scipy.stats import norm, skewnorm, truncnorm
 
 import ebnull.nullmodel as nm
-from ebnull.distributions import SkewNormalParams, skew_normal_cdf, skew_normal_pdf
+from ebnull.distributions import skew_normal_cdf
 from ebnull.nullmodel import (
     GaussianNull,
     MixtureNull,
@@ -25,8 +30,6 @@ from ebnull.nullmodel import (
     fit_gaussian,
     fit_mixture,
     fit_skew_normal,
-    null_cdf,
-    null_pdf,
     resolve_cut,
     select_null,
 )
@@ -151,10 +154,8 @@ def test_fit_gaussian_needs_two_points():
 
 def _independent_skew_loglik(eta, z0, xi):
     sigma0 = np.exp(eta)
-    p = SkewNormalParams(location=0.0, scale=float(np.sqrt(1 + sigma0**2)),
-                         shape=-sigma0)
-    dens = skew_normal_pdf(z0, p)
-    return float(np.log(dens).sum() - z0.size * np.log(skew_normal_cdf(xi, p)))
+    dist = skewnorm(-sigma0, loc=0.0, scale=float(np.sqrt(1 + sigma0**2)))
+    return float(dist.logpdf(z0).sum() - z0.size * dist.logcdf(xi))
 
 
 def test_fit_skew_normal_recovers_spread():
@@ -338,8 +339,11 @@ def test_select_null_prefers_simpler_on_tie(monkeypatch):
             weights_eta=np.array([0.0, 1.0]), loglik=mix, iterations=1,
             converged=True, kkt_gap=0.0))
         model = select_null(StatSample(values=np.linspace(-2.0, 2.0, 40)))
-        assert model.family_logliks == {"gaussian": gauss, "skew_normal": skew,
-                                        "mixture": mix}
+        # a non-finite log-likelihood is a failed fit, reported as None
+        expected = {"gaussian": gauss, "skew_normal": skew, "mixture": mix}
+        assert model.family_logliks == {
+            name: (ll if np.isfinite(ll) else None) for name, ll in expected.items()
+        }
         return model.family
 
     # gaussian against mixture: exact tie and a few-ulp lead both stay simple
@@ -354,7 +358,7 @@ def test_select_null_prefers_simpler_on_tie(monkeypatch):
     assert choose(ell, ell - 5.0, ell + 1e-3) == "mixture"
     assert choose(ell - 5.0, ell, ell + 1e-3) == "mixture"
     assert choose(ell, ell + 1e-3, ell - 5.0) == "skew_normal"
-    # an infinite incumbent leaves no scale for the tolerance; finite wins
+    # infinite log-likelihoods are failed fits; the finite family wins
     assert choose(-np.inf, -np.inf, ell) == "mixture"
 
 
@@ -399,6 +403,8 @@ def test_select_null_drops_nan_loglik():
         model = select_null(StatSample(values=z))
     assert model.family == "mixture"
     assert model.family_logliks["gaussian"] is None
+    # the skew-normal log-likelihood is -inf here: a failed fit too
+    assert model.family_logliks["skew_normal"] is None
     assert np.isfinite(model.loglik)
 
 
@@ -430,7 +436,7 @@ def test_select_null_numeric_errors_only(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the fitted null law
+# the fitted null laws
 
 
 def _example_models():
@@ -446,41 +452,115 @@ def _example_models():
     ]
 
 
+def _reference_pdf(variant):
+    """The density of each law, written with scipy.stats alone."""
+    if variant.family == "gaussian":
+        return norm(loc=variant.mu0).pdf
+    if variant.family == "skew_normal":
+        return skewnorm(-variant.sigma0, scale=np.sqrt(1 + variant.sigma0**2)).pdf
+    return lambda t: sum(w * norm.pdf(t - mu)
+                         for mu, w in zip(variant.grid, variant.weights_p))
+
+
+def _wrap(variant):
+    return NullModel(variant=variant, cut_xi=1.0, n_truncated=10)
+
+
 @pytest.mark.parametrize("variant", _example_models(),
                          ids=["gaussian", "skew_normal", "mixture"])
 def test_null_law_is_a_distribution(variant):
     grid = np.linspace(-12.0, 12.0, 241)
-    cdf = null_cdf(variant, grid)
+    cdf = variant.cdf(grid)
     assert np.all(np.diff(cdf) >= -1e-12)  # monotone up to roundoff
     assert cdf[0] < 1e-6 and cdf[-1] > 1 - 1e-6
-    # density integrates to the distribution function
-    part, _ = quad(lambda t: null_pdf(variant, t), -np.inf, 0.3)
-    assert null_cdf(variant, 0.3) == pytest.approx(part, abs=1e-8)
+    # the distribution function integrates an independent density
+    part, _ = quad(_reference_pdf(variant), -np.inf, 0.3)
+    assert _wrap(variant).cdf(0.3) == pytest.approx(part, abs=1e-8)
 
 
 def test_null_law_closed_forms():
     g, sn, mix = _example_models()
-    assert null_cdf(g, 0.0) == pytest.approx(norm.cdf(0.8), rel=1e-12)
-    assert null_pdf(g, 0.0) == pytest.approx(norm.pdf(0.8), rel=1e-12)
-    assert null_cdf(sn, 0.7) == pytest.approx(
+    assert _wrap(g).cdf(0.0) == pytest.approx(norm.cdf(0.8), rel=1e-12)
+    assert _wrap(g).sf(0.0) == pytest.approx(norm.sf(0.8), rel=1e-12)
+    assert _wrap(sn).cdf(0.7) == pytest.approx(
         skew_normal_cdf(0.7, sn.params), rel=1e-12
+    )
+    assert _wrap(sn).sf(0.7) == pytest.approx(
+        1.0 - skew_normal_cdf(0.7, sn.params), rel=1e-12
     )
     manual_cdf = sum(w * norm.cdf(0.4 - mu)
                      for mu, w in zip(mix.grid, mix.weights_p))
-    assert null_cdf(mix, 0.4) == pytest.approx(manual_cdf, rel=1e-12)
-    manual_pdf = sum(w * norm.pdf(0.4 - mu)
-                     for mu, w in zip(mix.grid, mix.weights_p))
-    assert null_pdf(mix, 0.4) == pytest.approx(manual_pdf, rel=1e-12)
+    assert _wrap(mix).cdf(0.4) == pytest.approx(manual_cdf, rel=1e-12)
+    manual_sf = sum(w * norm.sf(0.4 - mu)
+                    for mu, w in zip(mix.grid, mix.weights_p))
+    assert _wrap(mix).sf(0.4) == pytest.approx(manual_sf, rel=1e-12)
 
 
 def test_null_law_dispatch_and_types():
-    g = _example_models()[0]
-    wrapped = NullModel(variant=g, cut_xi=1.0, n_truncated=10)
-    assert wrapped.family == "gaussian"
-    assert null_cdf(wrapped, 0.2) == null_cdf(g, 0.2)
-    assert wrapped.cdf(0.2) == null_cdf(g, 0.2)
-    assert wrapped.pdf(0.2) == null_pdf(g, 0.2)
-    assert isinstance(null_cdf(g, 0.2), float)
-    assert null_cdf(g, np.array([0.2, 0.5])).shape == (2,)
-    with pytest.raises(TypeError):
-        null_cdf("not a model", 0.0)
+    report_keys = {
+        "gaussian": ["mu0", "iterations", "converged"],
+        "skew_normal": ["sigma0", "eta", "at_boundary"],
+        "mixture": ["grid", "weights", "iterations", "converged", "kkt_gap"],
+    }
+    for variant in _example_models():
+        wrapped = _wrap(variant)
+        assert wrapped.family == variant.family
+        assert list(variant.report_params()) == report_keys[variant.family]
+        for method in ("cdf", "sf"):
+            scalar = getattr(wrapped, method)(0.2)
+            assert isinstance(scalar, float)
+            assert scalar == float(getattr(variant, method)(0.2))
+            assert getattr(wrapped, method)(np.array([0.2, 0.5])).shape == (2,)
+            assert getattr(wrapped, method)(np.zeros((2, 3))).shape == (2, 3)
+
+
+def _sf_reference(z, atoms, weights):
+    # 50-digit P(Z >= z) for a mixture of N(atom, 1) laws
+    with mpmath.workdps(50):
+        z = mpmath.mpf(z)
+        tail = sum(mpmath.mpf(w) * mpmath.erfc((z - mpmath.mpf(mu)) / mpmath.sqrt(2)) / 2
+                   for mu, w in zip(atoms, weights))
+        return float(tail)
+
+
+def test_null_law_sf_matches_mpmath_in_the_tail():
+    g, _, mix = _example_models()
+    z = np.linspace(-5.0, 35.0, 81)
+    cases = [(g, [g.mu0], [1.0]), (mix, mix.grid, mix.weights_p)]
+    for variant, atoms, weights in cases:
+        got = _wrap(variant).sf(z)
+        want = np.array([_sf_reference(t, atoms, weights) for t in z])
+        assert np.all(want > 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+
+_z_values = st.floats(min_value=-40.0, max_value=40.0, allow_nan=False)
+
+
+@st.composite
+def _null_laws(draw):
+    family = draw(st.sampled_from(["gaussian", "skew_normal", "mixture"]))
+    if family == "gaussian":
+        mu0 = draw(st.floats(min_value=-6.0, max_value=0.0))
+        return GaussianNull(mu0=mu0, loglik=0.0, iterations=1, converged=True)
+    if family == "skew_normal":
+        eta = draw(st.floats(min_value=-6.0, max_value=3.0))
+        return SkewNormalNull(sigma0=float(np.exp(eta)), eta=eta, loglik=0.0)
+    atoms = draw(st.lists(st.floats(min_value=-8.0, max_value=0.0),
+                          min_size=2, max_size=6))
+    raw = draw(st.lists(st.floats(min_value=1e-3, max_value=1.0),
+                        min_size=len(atoms), max_size=len(atoms)))
+    weights = np.asarray(raw) / np.sum(raw)
+    return MixtureNull(grid=np.sort(atoms), weights_p=weights, weights_eta=weights,
+                       loglik=0.0, iterations=1, converged=True, kkt_gap=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(law=_null_laws(), z=st.lists(_z_values, min_size=1, max_size=20))
+def test_null_law_sf_properties(law, z):
+    z = np.sort(np.asarray(z))
+    model = _wrap(law)
+    sf, cdf = model.sf(z), model.cdf(z)
+    np.testing.assert_allclose(sf + cdf, 1.0, rtol=0.0, atol=1e-15)
+    assert np.all((sf >= 0.0) & (sf <= 1.0))
+    assert np.all(np.diff(sf) <= 0.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from ebnull.nullmodel import GaussianNull, NullModel, StatSample
+from ebnull.nullmodel import GaussianNull, MixtureNull, NullModel, StatSample
 from ebnull.pvalues import (
     PValueVector,
     conditional_pvalues,
@@ -49,6 +49,20 @@ def test_eb_pvalues_from_fitted_model():
     assert p.kind == "empirical_bayes"
     # shifting the null left makes every p-value smaller than the standard one
     assert np.all(p.values <= standard_pvalues(s).values)
+
+
+def test_eb_pvalues_stay_positive_in_the_right_tail():
+    # 1 - F0_hat(20) rounds to 0; the survival function keeps the tail
+    gauss = GaussianNull(mu0=-0.8, loglik=0.0, iterations=1, converged=True)
+    mix = MixtureNull(grid=np.array([-2.0, 0.0]), weights_p=np.array([0.4, 0.6]),
+                      weights_eta=np.array([0.5, 0.5]), loglik=0.0,
+                      iterations=1, converged=True, kkt_gap=0.0)
+    s = StatSample(values=[20.0])
+    for variant, expected in ((gauss, norm.sf(20.8)),
+                              (mix, 0.4 * norm.sf(22.0) + 0.6 * norm.sf(20.0))):
+        p = eb_pvalues(s, NullModel(variant=variant, cut_xi=1.0, n_truncated=5))
+        assert p.values[0] > 0.0
+        assert p.values[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_conditional_pvalues_worked_example():

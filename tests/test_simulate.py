@@ -5,13 +5,12 @@ import pytest
 from scipy.stats import norm
 
 import ebnull.nullmodel as nm
-from ebnull.nullmodel import GaussianNull, NullModel
+import ebnull.simulate as sim
 from ebnull.pvalues import PValueVector
 from ebnull.simulate import (
     HalfNormalPrior,
     SimScenario,
     TwoPointPrior,
-    density_overlay,
     generate,
     pvalue_histogram,
     run_scenario,
@@ -187,6 +186,19 @@ def test_run_scenario_validates_k_up_front():
     assert summary.n_failures == 0
 
 
+def test_run_scenario_validates_xi_quantile_up_front(monkeypatch):
+    """An invalid truncation quantile is a configuration error for every
+    method set, raised before any replication is drawn, not a failed rep."""
+    drawn = []
+    monkeypatch.setattr(sim, "generate",
+                        lambda scenario, rep: drawn.append(rep) or generate(scenario, rep))
+    scenario = SimScenario(null_prior=TwoPointPrior(0.5), m=100, n_reps=2)
+    for methods in (("bh",), ("bh", "proposed")):
+        with pytest.raises(ValueError, match="quantile level"):
+            run_scenario(scenario, methods=methods, xi_quantile=2.0)
+    assert drawn == []
+
+
 def test_run_scenario_failure_causes(monkeypatch):
     """Replications whose fits all fail numerically are tallied; a
     programming error in a fit propagates instead of being counted."""
@@ -233,14 +245,3 @@ def test_pvalue_histogram_validation_and_empty():
     with pytest.raises(ValueError):
         pvalue_histogram(np.array([1.5]), bins=10)
 
-
-def test_density_overlay_scales_null_by_pi0():
-    variant = GaussianNull(mu0=-1.0, loglik=0.0, iterations=1, converged=True)
-    model = NullModel(variant=variant, cut_xi=1.0, n_truncated=10)
-    sample_values = np.array([-3.0, 0.0, 2.0])
-    grid, fitted, standard = density_overlay(sample_values, model, pi0_hat=0.9)
-    assert grid[0] == pytest.approx(-4.0)
-    assert grid[-1] == pytest.approx(3.0)
-    i = len(grid) // 2
-    assert fitted[i] == pytest.approx(0.9 * norm.pdf(grid[i], loc=-1.0), rel=1e-12)
-    assert standard[i] == pytest.approx(0.9 * norm.pdf(grid[i]), rel=1e-12)
