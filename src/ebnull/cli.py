@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import sys
+from itertools import chain, islice
 
 import numpy as np
 
@@ -66,61 +67,104 @@ def _parse_float(text: str, lineno: int, what: str = "statistic") -> float:
     return value
 
 
+def _parse_column(texts, linenos) -> np.ndarray:
+    """Statistics of one column, parsed in one pass.
+
+    A cell that is unparseable, non-finite or written with the typographic
+    minus sends the column through ``_parse_float`` cell by cell, which
+    normalizes the minus and names the first bad cell's 1-based line.
+    """
+    try:
+        values = np.array([float(text) for text in texts])
+        if np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
+    return np.array([_parse_float(text, lineno) for text, lineno in zip(texts, linenos)])
+
+
+# data lines split and parsed at a time: the lists of one block are freed
+# before the next is built, so ingest holds little beyond its result
+_BLOCK_LINES = 8192
+
+
+def _data_lines(fh):
+    """(1-based line number, text) of each line that is not blank or a ``#`` comment."""
+    return (
+        (lineno, line.rstrip("\n"))
+        for lineno, line in enumerate(fh, start=1)
+        if (head := line.lstrip()) and head[0] != "#"
+    )
+
+
+def _blocks(lines):
+    """The line numbers and texts of consecutive blocks of ``_BLOCK_LINES`` lines."""
+    while block := list(islice(lines, _BLOCK_LINES)):
+        yield zip(*block)
+
+
 def ingest_statistics(path: str) -> StatSample:
     """Load statistics from a plain-number file or a CSV with a
     ``statistic`` column (and optional ``id`` column).
 
     Blank lines and ``#`` comment lines are skipped in both formats; every
-    parse failure names the offending 1-based line number.
+    parse failure names the offending 1-based line number.  The file is
+    read once, in blocks of lines whose statistic column is parsed in one
+    pass.  Each data line is split on its own (by ``csv`` rules only where
+    it holds a quote), so an unterminated quote never runs into the next
+    line.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.readlines()
+            return _read_statistics(_data_lines(fh), path)
     except OSError as exc:
         raise CLIError(f"cannot read {path}: {exc.strerror or exc}")
 
-    lines = [
-        (lineno, line.rstrip("\n"))
-        for lineno, line in enumerate(raw, start=1)
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
-    if not lines:
-        raise CLIError(f"{path}: no statistics found")
 
-    first = lines[0][1]
+def _read_statistics(lines, path: str) -> StatSample:
+    first = next(lines, None)
+    if first is None:
+        raise CLIError(f"{path}: no statistics found")
     try:
-        float(_normalize_number(first))
+        float(_normalize_number(first[1]))
         is_plain = True
     except ValueError:
         is_plain = False
 
     if is_plain:
-        values = [_parse_float(text, lineno) for lineno, text in lines]
-        return StatSample(values=np.asarray(values))
+        values = [_parse_column(texts, linenos)
+                  for linenos, texts in _blocks(chain([first], lines))]
+        return StatSample(values=np.concatenate(values))
 
-    header = next(csv.reader([first]))
+    header = next(csv.reader([first[1]]))
     header = [cell.strip() for cell in header]
     if "statistic" not in header:
         raise CLIError(
-            f"line {lines[0][0]}: expected a number or a CSV header with a "
+            f"line {first[0]}: expected a number or a CSV header with a "
             "'statistic' column"
         )
     stat_col = header.index("statistic")
     id_col = header.index("id") if "id" in header else None
 
-    values: list[float] = []
-    ids: list[str] = []
-    for lineno, text in lines[1:]:
-        row = next(csv.reader([text]))
-        if len(row) != len(header):
+    values, ids = [], []
+    for linenos, texts in _blocks(lines):
+        rows = [next(csv.reader([text])) if '"' in text else text.split(",")
+                for text in texts]
+        # errors come in line order: the cells above a row of the wrong width parse first
+        bad = next((i for i, row in enumerate(rows) if len(row) != len(header)), len(rows))
+        values.append(_parse_column([row[stat_col] for row in rows[:bad]], linenos))
+        if bad < len(rows):
             raise CLIError(
-                f"line {lineno}: expected {len(header)} fields, got {len(row)}"
+                f"line {linenos[bad]}: expected {len(header)} fields, got {len(rows[bad])}"
             )
-        values.append(_parse_float(row[stat_col], lineno))
-        ids.append(row[id_col].strip() if id_col is not None else str(len(ids)))
+        if id_col is not None:
+            ids += [row[id_col].strip() for row in rows]
     if not values:
         raise CLIError(f"{path}: no statistics found")
-    return StatSample(values=np.asarray(values), ids=tuple(ids))
+    values = np.concatenate(values)
+    if id_col is None:
+        ids = map(str, range(values.size))
+    return StatSample(values=values, ids=tuple(ids))
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +188,11 @@ def _fmt(value) -> object:
     return value
 
 
+# how ``json.dumps`` (``ensure_ascii=True``) writes a string and a bool
+_json_string = json.encoder.encode_basestring_ascii
+_JSON_BOOLS = ("false", "true")
+
+
 def _write_output(text: str, output: str | None):
     if output is None:
         sys.stdout.write(text)
@@ -154,6 +203,43 @@ def _write_output(text: str, output: str | None):
 
 def _json_report(payload: dict, output: str | None):
     _write_output(json.dumps(_fmt(payload), indent=2) + "\n", output)
+
+
+def _json_floats(values: np.ndarray) -> list[str]:
+    """Each float as ``json.dumps`` writes it: its repr, or NaN/Infinity."""
+    out = list(map(float.__repr__, values.tolist()))
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        out[i] = json.dumps(float(values[i]))
+    return out
+
+
+def _records_json(ids, statistic, p_std, p_eb, masks: dict) -> str:
+    """The ``records`` list of the test report, written column by column.
+
+    The text is what ``json.dumps(..., indent=2)`` gives for the list of
+    per-record dicts (``id``, ``statistic``, ``p_std``, ``p_eb`` and one
+    ``rejected`` flag per method), nested one level inside the report.
+    """
+    flags = ",\n".join(f"        {_json_string(method)}: %s" for method in masks)
+    template = (
+        "    {\n"
+        '      "id": %s,\n'
+        '      "statistic": %s,\n'
+        '      "p_std": %s,\n'
+        '      "p_eb": %s,\n'
+        '      "rejected": {\n'
+        f"{flags}\n"
+        "      }\n"
+        "    }"
+    )
+    columns = (
+        map(_json_string, ids),
+        _json_floats(statistic),
+        _json_floats(p_std),
+        _json_floats(p_eb),
+        *([_JSON_BOOLS[flag] for flag in mask.tolist()] for mask in masks.values()),
+    )
+    return "[\n" + ",\n".join(map(template.__mod__, zip(*columns))) + "\n  ]"
 
 
 def _fit_block(model: NullModel) -> dict:
@@ -193,6 +279,13 @@ def _resolve_methods(args) -> tuple[str, ...]:
 
 
 def cmd_test(args) -> int:
+    """Fit the null, run the procedures and write the JSON report.
+
+    The text is what ``json.dumps(..., indent=2)`` gives for a report with
+    one record dict per statistic, but the records are written from
+    columns (``_records_json``) and spliced in after the config, fit and
+    methods blocks.  Input parse errors name their 1-based line number.
+    """
     sample = ingest_statistics(args.input)
     methods = _resolve_methods(args)
     model = select_null(
@@ -222,18 +315,6 @@ def cmd_test(args) -> int:
         "k": args.k,
         "version": __version__,
     }
-    masks = {method: results[method].mask() for method in methods}
-    ids = sample.ids or tuple(str(i) for i in range(len(sample)))
-    records = [
-        {
-            "id": ids[i],
-            "statistic": sample.values[i],
-            "p_std": p_std.values[i],
-            "p_eb": p_eb.values[i],
-            "rejected": {method: bool(masks[method][i]) for method in methods},
-        }
-        for i in range(len(sample))
-    ]
     report = {
         "config": config,
         "fit": _fit_block(model),
@@ -245,9 +326,18 @@ def cmd_test(args) -> int:
             }
             for method in methods
         },
-        "records": records,
+        "records": [],
     }
-    _json_report(report, args.output)
+    head = json.dumps(_fmt(report), indent=2)
+    records = _records_json(
+        sample.ids or tuple(map(str, range(len(sample)))),
+        sample.values,
+        p_std.values,
+        p_eb.values,
+        {method: results[method].mask() for method in methods},
+    )
+    # the empty list closes the text; the records go in its place
+    _write_output(head[: -len("[]\n}")] + records + "\n}\n", args.output)
     return 0
 
 

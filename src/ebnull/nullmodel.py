@@ -204,14 +204,21 @@ class MixtureNull:
 
     family = "mixture"
 
+    def _support(self):
+        """The atoms that carry weight, and their weights; the rest add 0."""
+        keep = self.weights_p > 0
+        return self.grid[keep], self.weights_p[keep]
+
     # the weights sum to 1 only up to rounding, hence the clips
     def cdf(self, z):
-        t = np.asarray(z, dtype=float)[..., None] - self.grid
-        return np.clip(special.ndtr(t) @ self.weights_p, 0.0, 1.0)
+        grid, weights = self._support()
+        t = np.asarray(z, dtype=float)[..., None] - grid
+        return np.clip(special.ndtr(t) @ weights, 0.0, 1.0)
 
     def sf(self, z):
-        t = self.grid - np.asarray(z, dtype=float)[..., None]
-        return np.clip(special.ndtr(t) @ self.weights_p, 0.0, 1.0)
+        grid, weights = self._support()
+        t = grid - np.asarray(z, dtype=float)[..., None]
+        return np.clip(special.ndtr(t) @ weights, 0.0, 1.0)
 
     def report_params(self) -> dict:
         return {"grid": self.grid, "weights": self.weights_p,
@@ -304,13 +311,16 @@ def fit_gaussian(sample, xi: float, tol: float = 1e-8, max_iter: int = 100) -> G
 
     if converged:
         grad = n * ((zbar - mu) + float(mills_ratio(xi - mu)))
-        if abs(grad) > tol * n:  # stuck on a clamp, not an actual root
+        # stuck on a clamp, not an actual root, or overflowed on a huge |z|
+        if not abs(grad) <= tol * n:
             converged = False
 
     mu0 = min(mu, 0.0)
     sum_z = float(z0.sum())
     sum_zz = float((z0 * z0).sum())
     loglik = float(_gaussian_loglik(mu0, n, sum_z, sum_zz, xi))
+    if not math.isfinite(loglik):
+        converged = False
     return GaussianNull(mu0=mu0, loglik=loglik, iterations=iterations, converged=converged)
 
 

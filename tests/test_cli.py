@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 from scipy.stats import ttest_ind
 
+import ebnull.cli as cli
 from ebnull.cli import CLIError, ingest_statistics, main
+from ebnull.nullmodel import TruncationRule, select_null
+from ebnull.pvalues import PValueVector, standard_pvalues
+from ebnull.simulate import METHOD_NAMES, run_methods
 
 
 def _write(path, text):
@@ -68,6 +72,66 @@ def test_ingest_errors_carry_line_numbers(tmp_path):
         ingest_statistics(_write(tmp_path / "empty.txt", "# nothing\n"))
     with pytest.raises(CLIError, match="finite"):
         ingest_statistics(_write(tmp_path / "inf.txt", "1.0\ninf\n"))
+
+
+def _ingest_error(tmp_path, text):
+    with pytest.raises(CLIError) as excinfo:
+        ingest_statistics(_write(tmp_path / "in.csv", text))
+    return str(excinfo.value)
+
+
+def test_ingest_error_messages_keep_line_numbers(tmp_path):
+    # blank and comment lines count towards the 1-based line numbers
+    head = "id,statistic\n\n# comment\ng1,0.5\n  \n"
+    assert (_ingest_error(tmp_path, head + "g2,0.7,extra\ng3,1.0\n")
+            == "line 6: expected 2 fields, got 3")
+    assert (_ingest_error(tmp_path, head + "g2,huh\n")
+            == "line 6: cannot parse statistic from 'huh'")
+    assert (_ingest_error(tmp_path, head + "g2, nan \n")
+            == "line 6: statistic must be finite, got 'nan'")
+    assert (_ingest_error(tmp_path, head + "g2,-inf\n")
+            == "line 6: statistic must be finite, got '-inf'")
+    assert (_ingest_error(tmp_path, "1.0\n\n# c\n2.0\ninf\n")
+            == "line 5: statistic must be finite, got 'inf'")
+    assert (_ingest_error(tmp_path, "1.0\n# c\nx1\n")
+            == "line 3: cannot parse statistic from 'x1'")
+    path = _write(tmp_path / "head.csv", "# only a header\nid,statistic\n\n")
+    with pytest.raises(CLIError) as excinfo:
+        ingest_statistics(path)
+    assert str(excinfo.value) == f"{path}: no statistics found"
+
+
+def test_ingest_errors_come_in_line_order(tmp_path):
+    assert (_ingest_error(tmp_path, "id,statistic\ng1,bad\ng2,1.0,x\n")
+            == "line 2: cannot parse statistic from 'bad'")
+    assert (_ingest_error(tmp_path, "id,statistic\ng1,1.0,x\ng2,bad\n")
+            == "line 2: expected 2 fields, got 3")
+    # far past the first block of lines
+    rows = [f"g{i},{i * 0.001!r}" for i in range(20000)]
+    rows[15000] = "g15000,oops"
+    text = "id,statistic\n\n" + "\n".join(rows) + "\n"
+    assert _ingest_error(tmp_path, text) == "line 15003: cannot parse statistic from 'oops'"
+
+
+def test_ingest_unterminated_quote_stays_on_its_line(tmp_path):
+    assert (_ingest_error(tmp_path, 'id,statistic\n\n"g1,0.5\ng2,0.7\n')
+            == "line 3: expected 2 fields, got 1")
+    # a quote left open in the last field ends with its line
+    sample = ingest_statistics(
+        _write(tmp_path / "q.csv", 'id,statistic\ng1,"0.5\ng2,0.7\n'))
+    assert sample.ids == ("g1", "g2")
+    assert sample.values.tolist() == [0.5, 0.7]
+
+
+def test_ingest_quoted_ids_and_typographic_minus(tmp_path):
+    path = _write(tmp_path / "q.csv",
+                  'statistic,id\n−1.5,"a,b"\n2.0,"say ""hi"""\n 3.25 , plain \n')
+    sample = ingest_statistics(path)
+    assert sample.ids == ("a,b", 'say "hi"', "plain")
+    assert sample.values.tolist() == [-1.5, 2.0, 3.25]
+    plain = ingest_statistics(_write(tmp_path / "p.txt", "1e-3\n −2\n4.5e1\n"))
+    assert plain.ids is None
+    assert plain.values.tolist() == [0.001, -2.0, 45.0]
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +214,90 @@ def test_test_command_method_selection(stats_file, capsys):
                  "--method", "bh"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert list(report["methods"]) == ["bh"]
+
+
+_AWKWARD_IDS = ['say "hi"', "back\\slash", "é☃", "bell\x07", "", "100%s"]
+
+
+@pytest.fixture()
+def awkward_ids_file(tmp_path):
+    # ids that JSON must escape, quoted where CSV needs it
+    rng = np.random.default_rng(5)
+    z = np.concatenate([-np.abs(rng.normal(0.0, 1.5, 180)), rng.normal(3.5, 1.0, 20)])
+    ids = [f"r{i}" for i in range(z.size)]
+    ids[: len(_AWKWARD_IDS)] = _AWKWARD_IDS
+    cells = ['"' + i.replace('"', '""') + '"' if '"' in i else i for i in ids]
+    rows = [f"{c},{v!r}" for c, v in zip(cells, z.tolist())]
+    return _write(tmp_path / "awkward.csv", "id,statistic\n" + "\n".join(rows) + "\n")
+
+
+def _per_record_report(path, methods, written):
+    """The report as the writer built it before it went columnar: one dict
+    per record, all of it through ``_fmt`` and ``json.dumps(indent=2)``."""
+    sample = ingest_statistics(path)
+    model = select_null(sample, TruncationRule(quantile_level=0.85), k=50)
+    p_std = standard_pvalues(sample)
+    p_eb = cli.eb_pvalues(sample, model)
+    results = run_methods(methods, p_std, p_eb, q=0.1, tau=0.5,
+                          lambda_storey=0.5, lambda_discard=0.25)
+    masks = {method: results[method].mask() for method in methods}
+    records = [
+        {
+            "id": sample.ids[i],
+            "statistic": sample.values[i],
+            "p_std": p_std.values[i],
+            "p_eb": p_eb.values[i],
+            "rejected": {method: bool(masks[method][i]) for method in methods},
+        }
+        for i in range(len(sample))
+    ]
+    report = {
+        "config": json.loads(written)["config"],
+        "fit": cli._fit_block(model),
+        "methods": {
+            method: {
+                "n_rejected": results[method].n_rejected,
+                "threshold": results[method].threshold,
+                "pi0_hat": results[method].pi0_hat,
+            }
+            for method in methods
+        },
+        "records": records,
+    }
+    return json.dumps(cli._fmt(report), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("methods", [("proposed",), METHOD_NAMES],
+                         ids=["one-method", "all-methods"])
+def test_test_report_bytes_match_per_record_writer(awkward_ids_file, tmp_path,
+                                                   capsys, methods):
+    flags = [arg for method in methods for arg in ("--method", method)]
+    out = tmp_path / "report.json"
+    assert main(["test", "--input", awkward_ids_file, *flags, "--output", str(out)]) == 0
+    written = out.read_text(encoding="utf-8")
+    assert written == _per_record_report(awkward_ids_file, methods, written)
+    assert [r["id"] for r in json.loads(written)["records"][:6]] == _AWKWARD_IDS
+
+    assert main(["test", "--input", awkward_ids_file, *flags]) == 0
+    assert capsys.readouterr().out == written
+
+
+def test_test_report_writes_non_finite_as_json_does(awkward_ids_file, tmp_path,
+                                                    monkeypatch):
+    eb_pvalues = cli.eb_pvalues
+
+    def with_nan(sample, model):
+        values = eb_pvalues(sample, model).values.copy()
+        values[1] = np.nan
+        return PValueVector(values=values, kind="empirical_bayes")
+
+    monkeypatch.setattr(cli, "eb_pvalues", with_nan)
+    out = tmp_path / "report.json"
+    assert main(["test", "--input", awkward_ids_file, "--method", "bh",
+                 "--output", str(out)]) == 0
+    written = out.read_text(encoding="utf-8")
+    assert written == _per_record_report(awkward_ids_file, ("bh",), written)
+    assert '"p_eb": NaN,' in written
 
 
 # ---------------------------------------------------------------------------

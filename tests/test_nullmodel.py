@@ -143,6 +143,16 @@ def test_fit_gaussian_stationarity_identity():
     assert model_mean == pytest.approx(float(np.mean(z[z <= xi])), abs=1e-6)
 
 
+def test_fit_gaussian_not_converged_when_not_finite():
+    # one statistic at -1e160 overflows the sum of squares into a NaN
+    # log-likelihood; such a fit must not claim convergence
+    z = np.append(np.random.default_rng(1).standard_normal(50), -1e160)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fit = fit_gaussian(z, xi=resolve_cut(StatSample(values=z)))
+    assert not np.isfinite(fit.loglik)
+    assert fit.converged is False
+
+
 def test_fit_gaussian_needs_two_points():
     with pytest.raises(ValueError):
         fit_gaussian(np.array([0.0, 5.0]), xi=1.0)
