@@ -10,7 +10,6 @@ null, and applies standard and adaptive false discovery rate procedures.
 __version__ = "0.1.0"
 
 from .distributions import (
-    SkewNormalParams,
     mills_ratio,
     skew_normal_cdf,
     std_normal_cdf,
@@ -59,7 +58,6 @@ from .simulate import (
 __all__ = [
     "__version__",
     # distributions
-    "SkewNormalParams",
     "mills_ratio",
     "skew_normal_cdf",
     "std_normal_cdf",

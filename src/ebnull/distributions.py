@@ -4,13 +4,13 @@ Everything here is elementary: the standard-normal distribution function,
 the Mills ratio, and the distribution function of the skew-normal family
 that arises when a one-sided Gaussian prior is convolved with unit
 Gaussian noise.  Heavy lifting, Owen's T included, is delegated to
-``scipy.special``; the functions exist to pin down conventions (shape
-parameters, log-space evaluation, domain checks) in one place.
+``scipy.special``; the functions exist to pin down conventions (the
+skew-normal's scale and shape, log-space evaluation) in one place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 from scipy import special
@@ -43,35 +43,18 @@ def mills_ratio(x):
     return _maybe_scalar(out, x)
 
 
-@dataclass(frozen=True)
-class SkewNormalParams:
-    """Location / scale / shape triple for the skew-normal family.
+def skew_normal_cdf(x, sigma0):
+    """Distribution function of mu + e with mu = -|N(0, sigma0^2)| and
+    e ~ N(0, 1) independent.
 
-    The null-model fit always produces ``location = 0``,
-    ``scale = sqrt(1 + sigma0**2)`` and ``shape = -sigma0`` for a one-sided
-    prior spread ``sigma0``; nothing here enforces that pattern, only
-    ``scale > 0``.
-    """
-
-    location: float
-    scale: float
-    shape: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.scale) and self.scale > 0.0):
-            raise ValueError(f"scale must be positive and finite, got {self.scale}")
-        if not (np.isfinite(self.location) and np.isfinite(self.shape)):
-            raise ValueError("location and shape must be finite")
-
-
-def skew_normal_cdf(x, params: SkewNormalParams):
-    """Skew-normal distribution function Phi(t) - 2 T(t, shape).
-
-    Owen's T supplies the skew correction exactly; the result is clipped
-    to [0, 1] to absorb the last-digit wobble of the subtraction.
+    That law is the skew-normal with scale sqrt(1 + sigma0^2) and shape
+    -sigma0, so the value is Phi(t) - 2 T(t, -sigma0) at
+    t = x / sqrt(1 + sigma0^2).  Owen's T supplies the skew correction
+    exactly; the result is clipped to [0, 1] to absorb the last-digit
+    wobble of the subtraction.
     """
     x = np.asarray(x, dtype=float)
-    t = (x - params.location) / params.scale
-    out = special.ndtr(t) - 2.0 * special.owens_t(t, params.shape)
+    t = x / math.sqrt(1.0 + sigma0**2)
+    out = special.ndtr(t) - 2.0 * special.owens_t(t, -sigma0)
     out = np.clip(out, 0.0, 1.0)
     return _maybe_scalar(out, x)

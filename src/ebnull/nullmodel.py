@@ -24,14 +24,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
-from .distributions import SkewNormalParams, _maybe_scalar, mills_ratio, skew_normal_cdf
+from .distributions import _maybe_scalar, mills_ratio, skew_normal_cdf
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 # relative margin a richer family's log-likelihood must exceed to win
 TIE_RTOL = 1e-9
+
+# search interval for eta = log(sigma0) in the skew-normal fit
+_ETA_MIN = -6.0
+_ETA_MAX = 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -72,24 +76,16 @@ class StatSample:
 
 @dataclass(frozen=True)
 class TruncationRule:
-    """How to choose the truncation cut: a sample quantile or a fixed value.
+    """The truncation cut is the ``quantile_level`` sample quantile.
 
-    Exactly one of ``quantile_level`` and ``explicit_cut`` may be active;
-    the default keeps the 0.85 sample quantile.
+    The level must lie in (0, 1); the default keeps the 0.85 quantile.
     """
 
-    quantile_level: float | None = 0.85
-    explicit_cut: float | None = None
+    quantile_level: float = 0.85
 
     def __post_init__(self):
-        if self.explicit_cut is not None:
-            if not np.isfinite(self.explicit_cut):
-                raise ValueError("explicit cut must be finite")
-            object.__setattr__(self, "quantile_level", None)
-        else:
-            lvl = self.quantile_level
-            if lvl is None or not (0.0 < lvl < 1.0):
-                raise ValueError("quantile level must lie in (0, 1)")
+        if not (0.0 < self.quantile_level < 1.0):
+            raise ValueError("quantile level must lie in (0, 1)")
 
 
 def _as_values(sample) -> np.ndarray:
@@ -102,17 +98,10 @@ def resolve_cut(sample, rule: TruncationRule | None = None) -> float:
     """Turn a truncation rule into a concrete cut value for this sample.
 
     Quantiles use the linear-interpolation convention (numpy's default),
-    so the cut is a weighted average of two order statistics.  An explicit
-    cut below the sample minimum leaves nothing to fit and is rejected.
+    so the cut is a weighted average of two order statistics.
     """
-    values = _as_values(sample)
     rule = rule or TruncationRule()
-    if rule.explicit_cut is not None:
-        cut = float(rule.explicit_cut)
-        if not np.any(values <= cut):
-            raise ValueError("explicit cut lies below every statistic; truncated set is empty")
-        return cut
-    return float(np.quantile(values, rule.quantile_level))
+    return float(np.quantile(_as_values(sample), rule.quantile_level))
 
 
 def _truncated(values: np.ndarray, xi: float) -> np.ndarray:
@@ -165,16 +154,8 @@ class SkewNormalNull:
 
     family = "skew_normal"
 
-    @property
-    def params(self) -> SkewNormalParams:
-        return SkewNormalParams(
-            location=0.0,
-            scale=math.sqrt(1.0 + self.sigma0**2),
-            shape=-self.sigma0,
-        )
-
     def cdf(self, z):
-        return skew_normal_cdf(z, self.params)
+        return skew_normal_cdf(z, self.sigma0)
 
     def sf(self, z):
         return 1.0 - self.cdf(z)
@@ -255,7 +236,7 @@ class NullModel:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian fit: Newton iteration on the truncated likelihood
+# Gaussian fit: bracketed root of the truncated score
 
 
 def _gaussian_loglik(mu, n, sum_z, sum_zz, xi):
@@ -265,57 +246,31 @@ def _gaussian_loglik(mu, n, sum_z, sum_zz, xi):
     return -0.5 * n * _LOG_2PI - 0.5 * quad - n * special.log_ndtr(xi - mu)
 
 
-def fit_gaussian(sample, xi: float, tol: float = 1e-8, max_iter: int = 100) -> GaussianNull:
+def fit_gaussian(sample, xi: float) -> GaussianNull:
     """Fit the shifted-Gaussian null on the statistics at or below ``xi``.
 
-    Newton iteration on the concave truncated log-likelihood, started at
-    the truncated mean.  Iterates are clamped to a generous window and a
-    sign-change bracket (once seen) turns wayward Newton proposals into
-    bisection steps.  The unconstrained root is clipped to mu0 <= 0 at the
-    end.
+    The truncated log-likelihood is concave in mu, and its score per
+    observation, ``zbar - mu + r(xi - mu)`` with ``r`` the Mills ratio, is
+    positive at the truncated mean ``mu = zbar``.  So the MLE under
+    mu0 <= 0 is 0 when the score at 0 is non-negative, and otherwise the
+    root of the score in ``[zbar, 0]``, found by Brent's method
+    (``scipy.optimize.brentq`` at its default tolerances).  ``iterations``
+    counts Brent's iterations (0 when the estimate is 0); ``converged``
+    means Brent's method converged and the log-likelihood is finite.
     """
     z0 = _truncated(_as_values(sample), xi)
     n = z0.size
     zbar = float(z0.mean())
-    lo_clamp = float(z0.min()) - 10.0
-    hi_clamp = xi + 10.0
 
-    mu = zbar
-    bracket_lo = -np.inf
-    bracket_hi = np.inf
-    iterations = 0
-    converged = False
-    while iterations < max_iter:
-        r = float(mills_ratio(xi - mu))
-        grad = n * ((zbar - mu) + r)
-        hess = -n * (1.0 + r * ((xi - mu) + r))
-        if grad > 0.0:
-            bracket_lo = max(bracket_lo, mu)
-        elif grad < 0.0:
-            bracket_hi = min(bracket_hi, mu)
-        if hess >= 0.0:  # cannot happen analytically; fall back to bisection
-            cand = mu + (1.0 if grad > 0 else -1.0)
-        else:
-            cand = mu - grad / hess
-        cand = min(max(cand, lo_clamp), hi_clamp)
-        if bracket_lo > -np.inf and bracket_hi < np.inf and not (
-            bracket_lo <= cand <= bracket_hi
-        ):
-            cand = 0.5 * (bracket_lo + bracket_hi)
-        iterations += 1
-        if abs(cand - mu) < tol:
-            mu = cand
-            converged = True
-            break
-        mu = cand
+    def score(mu):
+        return zbar - mu + float(mills_ratio(xi - mu))
 
-    if converged:
-        grad = n * ((zbar - mu) + float(mills_ratio(xi - mu)))
-        # stuck on a clamp, not an actual root, or overflowed on a huge |z|
-        if not abs(grad) <= tol * n:
-            converged = False
+    if score(0.0) >= 0.0:
+        mu0, iterations, converged = 0.0, 0, True
+    else:
+        mu0, result = brentq(score, zbar, 0.0, full_output=True, disp=False)
+        iterations, converged = result.iterations, result.converged
 
-    mu0 = min(mu, 0.0)
     sum_z = float(z0.sum())
     sum_zz = float((z0 * z0).sum())
     loglik = float(_gaussian_loglik(mu0, n, sum_z, sum_zz, xi))
@@ -344,17 +299,14 @@ def _skew_loglik(eta, z0, xi, n, sum_zz):
     return ll - n * math.log(cdf_xi)
 
 
-def fit_skew_normal(
-    sample, xi: float, eta_min: float = -6.0, eta_max: float = 3.0
-) -> SkewNormalNull:
+def fit_skew_normal(sample, xi: float) -> SkewNormalNull:
     """Fit the skew-normal null by maximizing over eta = log(sigma0).
 
-    Bounded Brent search on the negated truncated log-likelihood; the two
-    interval endpoints are evaluated explicitly afterwards so a boundary
-    optimum is returned exactly rather than to within the search tolerance.
+    Bounded Brent search over eta in [-6, 3] on the negated truncated
+    log-likelihood; the two interval endpoints are evaluated explicitly
+    afterwards so a boundary optimum is returned exactly rather than to
+    within the search tolerance.
     """
-    if eta_min >= eta_max:
-        raise ValueError("eta_min must be below eta_max")
     z0 = _truncated(_as_values(sample), xi)
     n = z0.size
     sum_zz = float((z0 * z0).sum())
@@ -362,15 +314,15 @@ def fit_skew_normal(
     def neg(eta):
         return -_skew_loglik(eta, z0, xi, n, sum_zz)
 
-    res = minimize_scalar(neg, bounds=(eta_min, eta_max), method="bounded",
+    res = minimize_scalar(neg, bounds=(_ETA_MIN, _ETA_MAX), method="bounded",
                           options={"xatol": 1e-6})
     candidates = [(float(res.x), -float(res.fun))]
-    for edge in (eta_min, eta_max):
+    for edge in (_ETA_MIN, _ETA_MAX):
         candidates.append((edge, _skew_loglik(edge, z0, xi, n, sum_zz)))
     eta, loglik = max(candidates, key=lambda pair: pair[1])
-    at_boundary = eta in (eta_min, eta_max) or min(
-        eta - eta_min, eta_max - eta
-    ) < 1e-5 * (eta_max - eta_min)
+    at_boundary = eta in (_ETA_MIN, _ETA_MAX) or min(
+        eta - _ETA_MIN, _ETA_MAX - eta
+    ) < 1e-5 * (_ETA_MAX - _ETA_MIN)
     return SkewNormalNull(
         sigma0=math.exp(eta), eta=eta, loglik=loglik, at_boundary=at_boundary
     )
@@ -522,46 +474,30 @@ def _solve_weights_newton(A, tol, tol_gap, max_iter, warm):
     return eta, obj, iterations, gap, converged
 
 
-def fit_mixture(
-    sample,
-    xi: float,
-    k: int = 50,
-    grid: np.ndarray | None = None,
-    tol: float = 1e-9,
-    max_iter: int = 10000,
-) -> MixtureNull:
+def fit_mixture(sample, xi: float, k: int = 50) -> MixtureNull:
     """Fit mixture weights on a fixed grid of non-positive atoms.
 
-    The default grid places ``k`` equally spaced atoms from the sample
-    minimum up to 0.  The optimization runs in the truncation-tilted
-    weight coordinates (a concave program over the simplex); the plain
-    mixing weights are recovered by undoing the tilt.
+    The grid places ``k`` equally spaced atoms from the sample minimum up
+    to 0.  The optimization runs in the truncation-tilted weight
+    coordinates (a concave program over the simplex); the plain mixing
+    weights are recovered by undoing the tilt.
 
     The weights come from 25 EM (multiplicative) sweeps polished by
     active-set Newton steps on the support.  ``kkt_gap`` is the largest
     directional derivative of adding any atom, a bound on the remaining
     objective gap; ``converged`` means it fell to 1e-7.  The loop also
-    stops after three successive objective changes below ``tol``, or after
-    ``max_iter`` iterations in all.
+    stops after three successive objective changes below 1e-9, or after
+    10000 iterations in all.
     """
     values = _as_values(sample)
     z0 = _truncated(values, xi)
-    if grid is None:
-        if k < 2:
-            raise ValueError("need at least 2 grid atoms")
-        grid = np.linspace(min(float(values.min()), 0.0), 0.0, k)
-    else:
-        grid = np.asarray(grid, dtype=float)
-        if grid.ndim != 1 or grid.size < 2:
-            raise ValueError("grid must be a 1-d array with at least 2 atoms")
-        if np.any(np.diff(grid) < 0.0):
-            raise ValueError("grid atoms must be sorted ascending")
-        if np.any(grid > 0.0):
-            raise ValueError("grid atoms must be non-positive")
+    if k < 2:
+        raise ValueError("need at least 2 grid atoms")
+    grid = np.linspace(min(float(values.min()), 0.0), 0.0, k)
 
     A, row_shift = _mixture_columns(z0, xi, grid)
     eta, obj, iterations, gap, converged = _solve_weights_newton(
-        A, tol=tol, tol_gap=1e-7, max_iter=max_iter, warm=25
+        A, tol=1e-9, tol_gap=1e-7, max_iter=10000, warm=25
     )
     loglik = obj + float(row_shift.sum())
 
@@ -602,7 +538,9 @@ def select_null(sample, rule: TruncationRule | None = None, k: int = 50) -> Null
     ``LinAlgError``, or ``ArithmeticError``) or returns a non-finite
     log-likelihood counts as failed and is recorded as ``None`` in
     ``family_logliks``; failures are tolerated as long as at least one
-    family fits.  Any other exception propagates.
+    family fits.  Any other exception propagates.  The fits run with numpy's
+    overflow and invalid-value warnings off, since the finite-loglik rule
+    already judges what those produce.
     """
     if k < 2:
         raise ValueError("need at least 2 grid atoms")
@@ -619,7 +557,8 @@ def select_null(sample, rule: TruncationRule | None = None, k: int = 50) -> Null
         (MixtureNull.family, lambda: fit_mixture(values, xi, k=k)),
     ):
         try:
-            fit = fitter()
+            with np.errstate(over="ignore", invalid="ignore"):
+                fit = fitter()
             if not math.isfinite(fit.loglik):
                 raise ArithmeticError(f"log-likelihood is {fit.loglik}")
         except (ValueError, ArithmeticError) as exc:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .distributions import SkewNormalParams, skew_normal_cdf
+from .distributions import skew_normal_cdf
 from .nullmodel import StatSample, TruncationRule, select_null
 from .procedures import (
     RejectionResult,
@@ -88,12 +88,7 @@ class HalfNormalPrior:
     def marginal_cdf(self, z):
         """Closed-form marginal: skew-normal with scale sqrt(1 + sigma0^2)
         and shape -sigma0."""
-        params = SkewNormalParams(
-            location=0.0,
-            scale=math.sqrt(1.0 + self.sigma0**2),
-            shape=-self.sigma0,
-        )
-        return skew_normal_cdf(z, params)
+        return skew_normal_cdf(z, self.sigma0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end command-line tests driven through main(argv)."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -185,6 +186,19 @@ def test_fit_null_report_is_strict_json(tmp_path):
     assert report["logliks"]["skew_normal"] is None
     assert report["logliks"]["gaussian"] is None
     assert report["family"] == "mixture"
+
+
+@pytest.mark.parametrize("command", ["fit-null", "test", "histogram"])
+def test_huge_statistic_leaves_stderr_empty(tmp_path, capsys, command):
+    # the overflows a statistic at -1e160 causes inside the fits end as failed
+    # families; numpy must not warn about them on the error channel
+    z = np.append(np.random.default_rng(1).standard_normal(50), -1e160)
+    path = _write(tmp_path / "huge.txt", "\n".join(repr(float(v)) for v in z) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--input", path, "--output", str(tmp_path / "out.json")]) == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from scipy.special import owens_t
 from scipy.stats import skewnorm
 
 from ebnull.distributions import (
-    SkewNormalParams,
     mills_ratio,
     skew_normal_cdf,
     std_normal_cdf,
@@ -78,53 +77,41 @@ def test_owens_t_matches_quadrature():
         assert owens_t(h, a) == pytest.approx(direct(h, a), rel=1e-10)
 
 
-def test_skew_normal_params_validation():
-    p = SkewNormalParams(location=0.0, scale=2.0, shape=-1.5)
-    assert p.scale == 2.0
-    with pytest.raises(ValueError):
-        SkewNormalParams(location=0.0, scale=0.0, shape=1.0)
-    with pytest.raises(ValueError):
-        SkewNormalParams(location=0.0, scale=-1.0, shape=1.0)
-    with pytest.raises(ValueError):
-        SkewNormalParams(location=np.inf, scale=1.0, shape=1.0)
-
-
 def test_skew_normal_reference_values():
-    p = SkewNormalParams(location=0.3, scale=1.5, shape=-2.0)
-    assert skew_normal_cdf(1.0, p) == pytest.approx(0.97067373115900962199,
-                                                    rel=1e-12)
-    q = SkewNormalParams(location=0.0, scale=1.0, shape=3.0)
-    assert skew_normal_cdf(-0.5, q) == pytest.approx(0.0063694525739500742321,
-                                                     rel=1e-12)
+    # the law of mu + e with mu = -|N(0, sigma0^2)|, e ~ N(0, 1): 40-digit
+    # quadrature of Phi(x - mu) against the half-normal density of mu
+    assert skew_normal_cdf(1.0, 2.0) == pytest.approx(0.96815111844170462376,
+                                                      rel=1e-12)
+    assert skew_normal_cdf(-0.5, 0.5) == pytest.approx(0.45986019407653985953,
+                                                       rel=1e-12)
+    assert skew_normal_cdf(-3.0, 1.4) == pytest.approx(0.080997971045241916551,
+                                                       rel=1e-12)
 
 
 def test_skew_normal_zero_shape_is_normal():
-    p = SkewNormalParams(location=0.4, scale=2.0, shape=0.0)
     z = np.array([-3.0, 0.0, 1.7])
-    np.testing.assert_allclose(skew_normal_cdf(z, p),
-                               std_normal_cdf((z - 0.4) / 2.0), rtol=1e-12)
+    np.testing.assert_allclose(skew_normal_cdf(z, 0.0), std_normal_cdf(z),
+                               rtol=1e-12)
 
 
 def test_skew_normal_at_location():
-    # at x = location: cdf = 1/2 - arctan(shape)/pi
-    for shape in (-2.0, 0.5, 4.0):
-        p = SkewNormalParams(location=0.0, scale=1.0, shape=shape)
-        assert skew_normal_cdf(0.0, p) == pytest.approx(
-            0.5 - np.arctan(shape) / np.pi, rel=1e-12
+    # at x = location = 0, with shape -sigma0: cdf = 1/2 + arctan(sigma0)/pi
+    for sigma0 in (0.5, 2.0, 4.0):
+        assert skew_normal_cdf(0.0, sigma0) == pytest.approx(
+            0.5 + np.arctan(sigma0) / np.pi, rel=1e-12
         )
 
 
 def test_skew_normal_pdf_integrates_to_cdf():
     # the integrand is scipy's skew-normal density, an independent oracle
-    p = SkewNormalParams(location=-0.2, scale=1.3, shape=-1.8)
-    dist = skewnorm(p.shape, loc=p.location, scale=p.scale)
+    sigma0 = 1.8
+    dist = skewnorm(-sigma0, scale=np.sqrt(1.0 + sigma0**2))
     part, _ = quad(dist.pdf, -np.inf, 0.7)
-    assert skew_normal_cdf(0.7, p) == pytest.approx(part, abs=1e-9)
+    assert skew_normal_cdf(0.7, sigma0) == pytest.approx(part, abs=1e-9)
 
 
 def test_scalar_in_scalar_out():
     assert isinstance(std_normal_cdf(0.3), float)
     assert isinstance(mills_ratio(-1.0), float)
-    p = SkewNormalParams(location=0.0, scale=1.0, shape=1.0)
-    assert isinstance(skew_normal_cdf(0.3, p), float)
+    assert isinstance(skew_normal_cdf(0.3, 1.0), float)
     assert isinstance(std_normal_cdf(np.array([0.3])), np.ndarray)

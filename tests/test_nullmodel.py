@@ -2,7 +2,8 @@
 
 The Gaussian fit is checked against a brute-force grid search on a
 log-likelihood written out with scipy.stats primitives, plus the
-truncated-mean stationarity identity via scipy.stats.truncnorm.  The
+truncated-mean stationarity identity via scipy.stats.truncnorm and a
+hypothesis property of the constrained score root.  The
 skew-normal and mixture fits are checked for dominance over dense
 parameter grids and for internal consistency of their reported values.
 The fitted null laws are checked against scipy.stats densities, against
@@ -12,14 +13,14 @@ The fitted null laws are checked against scipy.stats densities, against
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import special
 from scipy.integrate import quad
 from scipy.stats import norm, skewnorm, truncnorm
 
 import ebnull.nullmodel as nm
-from ebnull.distributions import skew_normal_cdf
+from ebnull.distributions import mills_ratio, skew_normal_cdf
 from ebnull.nullmodel import (
     GaussianNull,
     MixtureNull,
@@ -60,13 +61,9 @@ def test_stat_sample_validation():
 
 def test_truncation_rule_validation():
     assert TruncationRule().quantile_level == 0.85
-    explicit = TruncationRule(explicit_cut=1.5)
-    assert explicit.quantile_level is None
     for bad in (0.0, 1.0, -0.2):
         with pytest.raises(ValueError):
             TruncationRule(quantile_level=bad)
-    with pytest.raises(ValueError):
-        TruncationRule(explicit_cut=np.inf)
 
 
 def test_resolve_cut_quantile():
@@ -75,13 +72,6 @@ def test_resolve_cut_quantile():
     # numpy's linear-interpolation quantile: position 16.15 between 14 and 15
     assert cut == pytest.approx(14.15, abs=1e-12)
     assert resolve_cut(values, None) == pytest.approx(14.15, abs=1e-12)
-
-
-def test_resolve_cut_explicit():
-    values = np.array([-1.0, 0.0, 2.0, 5.0])
-    assert resolve_cut(values, TruncationRule(explicit_cut=1.0)) == 1.0
-    with pytest.raises(ValueError):
-        resolve_cut(values, TruncationRule(explicit_cut=-3.0))
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +143,29 @@ def test_fit_gaussian_not_converged_when_not_finite():
     assert fit.converged is False
 
 
+def _gaussian_score(mu, z0, xi):
+    # the truncated score per observation, with the library's Mills ratio
+    return float(z0.mean()) - mu + mills_ratio(xi - mu)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=2,
+                       max_size=60),
+       level=st.floats(min_value=0.05, max_value=0.95))
+def test_fit_gaussian_is_the_constrained_score_root(values, level):
+    z = np.asarray(values)
+    xi = resolve_cut(z, TruncationRule(quantile_level=level))
+    z0 = z[z <= xi]
+    assume(z0.size >= 2)
+    fit = fit_gaussian(z, xi=xi)
+    assert fit.mu0 <= 0.0
+    assert np.isfinite(fit.loglik)
+    assert (fit.mu0 == 0.0) == (_gaussian_score(0.0, z0, xi) >= 0.0)
+    if fit.mu0 != 0.0:
+        zbar = float(z0.mean())
+        assert abs(_gaussian_score(fit.mu0, z0, xi)) <= 1e-9 * max(1.0, abs(zbar))
+
+
 def test_fit_gaussian_needs_two_points():
     with pytest.raises(ValueError):
         fit_gaussian(np.array([0.0, 5.0]), xi=1.0)
@@ -177,8 +190,9 @@ def test_fit_skew_normal_recovers_spread():
     fit = fit_skew_normal(z, xi=xi)
     assert not fit.at_boundary
     assert fit.sigma0 == pytest.approx(2.0, abs=0.3)
-    assert fit.params.shape == pytest.approx(-fit.sigma0)
-    assert fit.params.scale == pytest.approx(np.sqrt(1 + fit.sigma0**2))
+    # the fitted law is the skew-normal with shape -sigma0, scale sqrt(1 + sigma0^2)
+    law = skewnorm(-fit.sigma0, scale=np.sqrt(1 + fit.sigma0**2))
+    assert fit.cdf(0.3) == pytest.approx(law.cdf(0.3), rel=1e-10)
 
 
 def test_fit_skew_normal_dominates_eta_grid():
@@ -205,11 +219,6 @@ def test_fit_skew_normal_boundary_flag():
     fit = fit_skew_normal(z, xi=xi)
     assert fit.at_boundary
     assert fit.eta == pytest.approx(3.0, abs=1e-4)
-
-
-def test_fit_skew_normal_bad_interval():
-    with pytest.raises(ValueError):
-        fit_skew_normal(np.array([-1.0, 0.0, 1.0]), xi=0.5, eta_min=2.0, eta_max=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -294,27 +303,10 @@ def test_fit_mixture_newton_matches_em():
     assert newton.loglik - em_loglik <= em_gap + 1e-6
 
 
-def test_fit_mixture_explicit_grid():
-    rng = np.random.default_rng(29)
-    z = rng.standard_normal(800)
-    xi = float(np.quantile(z, 0.85))
-    grid = np.array([-1.0, 0.0])
-    fit = fit_mixture(z, xi=xi, grid=grid)
-    np.testing.assert_array_equal(fit.grid, grid)
-    # data are standard normal: nearly all mass belongs to the zero atom
-    assert fit.weights_p[1] >= 0.8
-
-
 def test_fit_mixture_grid_validation():
     z = np.arange(-3.0, 3.0, 0.1)
     with pytest.raises(ValueError):
         fit_mixture(z, xi=1.0, k=1)
-    with pytest.raises(ValueError):
-        fit_mixture(z, xi=1.0, grid=np.array([0.0, -1.0]))
-    with pytest.raises(ValueError):
-        fit_mixture(z, xi=1.0, grid=np.array([-1.0, 0.5]))
-    with pytest.raises(ValueError):
-        fit_mixture(z, xi=1.0, grid=np.array([[-1.0, 0.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +392,9 @@ def test_select_null_family_frequencies():
 
 
 def test_select_null_all_fits_failing():
+    # the 0.85 quantile of [0, 10] is 8.5: one point at or below the cut
     with pytest.raises(RuntimeError):
-        select_null(StatSample(values=[0.0, 10.0]),
-                    TruncationRule(explicit_cut=0.5))
+        select_null(StatSample(values=[0.0, 10.0]))
 
 
 def test_select_null_drops_nan_loglik():
@@ -493,10 +485,10 @@ def test_null_law_closed_forms():
     assert _wrap(g).cdf(0.0) == pytest.approx(norm.cdf(0.8), rel=1e-12)
     assert _wrap(g).sf(0.0) == pytest.approx(norm.sf(0.8), rel=1e-12)
     assert _wrap(sn).cdf(0.7) == pytest.approx(
-        skew_normal_cdf(0.7, sn.params), rel=1e-12
+        skew_normal_cdf(0.7, sn.sigma0), rel=1e-12
     )
     assert _wrap(sn).sf(0.7) == pytest.approx(
-        1.0 - skew_normal_cdf(0.7, sn.params), rel=1e-12
+        1.0 - skew_normal_cdf(0.7, sn.sigma0), rel=1e-12
     )
     manual_cdf = sum(w * norm.cdf(0.4 - mu)
                      for mu, w in zip(mix.grid, mix.weights_p))
