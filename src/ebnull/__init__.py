@@ -39,7 +39,6 @@ from .procedures import (
 )
 from .pvalues import (
     PValueVector,
-    conditional_pvalues,
     eb_pvalues,
     oracle_pvalues,
     standard_pvalues,
@@ -75,7 +74,6 @@ __all__ = [
     "select_null",
     # p-values
     "PValueVector",
-    "conditional_pvalues",
     "eb_pvalues",
     "oracle_pvalues",
     "standard_pvalues",

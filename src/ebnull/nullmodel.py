@@ -37,6 +37,13 @@ TIE_RTOL = 1e-9
 _ETA_MIN = -6.0
 _ETA_MAX = 3.0
 
+# mixture weight solver: EM warm-start sweeps, the objective change that
+# counts as a stall, the KKT gap that counts as converged, iteration cap
+_MIX_WARM = 25
+_MIX_TOL = 1e-9
+_MIX_TOL_GAP = 1e-7
+_MIX_MAX_ITER = 10000
+
 
 # ---------------------------------------------------------------------------
 # sample container and truncation rule
@@ -345,9 +352,7 @@ def _mixture_columns(z0, xi, grid):
     return np.exp(logcols - shift[:, None]), shift
 
 
-def _em_update(A, eta, d=None):
-    if d is None:
-        d = A @ eta
+def _em_update(A, eta, d):
     return eta * (A.T @ (1.0 / d)) / A.shape[0]
 
 
@@ -404,34 +409,28 @@ def _qp_step_simplex(g, H, w0, max_inner=200):
     return w / total if total > 0 else w0
 
 
-def _solve_weights_newton(A, tol, tol_gap, max_iter, warm):
+def _solve_weights_newton(A):
     """EM warm start, then support-Newton steps with a gap certificate.
 
     The certificate is the largest directional derivative of adding any
     atom; it bounds the remaining objective gap, so ``converged`` means
-    provably within ``tol_gap`` of the global optimum.  Objective-change
-    stalls (three in a row below ``tol``) stop the loop early.
+    provably within ``_MIX_TOL_GAP`` of the global optimum.  Objective-change
+    stalls (three in a row below ``_MIX_TOL``) stop the loop early.
     """
     n, K = A.shape
     eta = np.full(K, 1.0 / K)
     d = A @ eta
+    for _ in range(_MIX_WARM):
+        eta = _em_update(A, eta, d)
+        d = A @ eta
     obj = float(np.log(d).sum())
-    iterations = 0
-    gap = np.inf
-    converged = False
+    iterations = _MIX_WARM
     stalls = 0
-    while iterations < max_iter:
-        if iterations < warm:
-            eta = _em_update(A, eta, d)
-            d = A @ eta
-            obj = float(np.log(d).sum())
-            iterations += 1
-            continue
+    while True:
         u = 1.0 / d
         g_full = A.T @ u
         gap = float(g_full.max()) - n
-        if gap <= tol_gap:
-            converged = True
+        if gap <= _MIX_TOL_GAP or stalls >= 3 or iterations >= _MIX_MAX_ITER:
             break
         support = np.flatnonzero(eta > 0.0)
         best_new = int(np.argmax(g_full))
@@ -462,16 +461,9 @@ def _solve_weights_newton(A, tol, tol_gap, max_iter, warm):
             new_d = A @ new_eta
             new_obj = float(np.log(new_d).sum())
         iterations += 1
-        stalls = stalls + 1 if abs(new_obj - obj) < tol else 0
+        stalls = stalls + 1 if abs(new_obj - obj) < _MIX_TOL else 0
         eta, d, obj = new_eta, new_d, new_obj
-        if stalls >= 3:
-            gap = float((A.T @ (1.0 / d)).max()) - n
-            converged = gap <= tol_gap
-            break
-    else:
-        gap = float((A.T @ (1.0 / d)).max()) - n
-        converged = gap <= tol_gap
-    return eta, obj, iterations, gap, converged
+    return eta, obj, iterations, gap, gap <= _MIX_TOL_GAP
 
 
 def fit_mixture(sample, xi: float, k: int = 50) -> MixtureNull:
@@ -487,7 +479,8 @@ def fit_mixture(sample, xi: float, k: int = 50) -> MixtureNull:
     directional derivative of adding any atom, a bound on the remaining
     objective gap; ``converged`` means it fell to 1e-7.  The loop also
     stops after three successive objective changes below 1e-9, or after
-    10000 iterations in all.
+    10000 iterations in all.  Statistics so large in magnitude that the
+    log-density columns overflow raise ``ValueError``.
     """
     values = _as_values(sample)
     z0 = _truncated(values, xi)
@@ -496,9 +489,12 @@ def fit_mixture(sample, xi: float, k: int = 50) -> MixtureNull:
     grid = np.linspace(min(float(values.min()), 0.0), 0.0, k)
 
     A, row_shift = _mixture_columns(z0, xi, grid)
-    eta, obj, iterations, gap, converged = _solve_weights_newton(
-        A, tol=1e-9, tol_gap=1e-7, max_iter=10000, warm=25
-    )
+    if not np.isfinite(row_shift).all():
+        raise ValueError(
+            "mixture log-density columns are not finite: the statistics are too "
+            "large in magnitude for the atom grid"
+        )
+    eta, obj, iterations, gap, converged = _solve_weights_newton(A)
     loglik = obj + float(row_shift.sum())
 
     # undo the truncation tilt: eta_k  propto  p_k * Phi(xi - mu_k)

@@ -4,8 +4,11 @@ Implements the Benjamini-Hochberg step-up, its adaptive variant with
 Storey's null-proportion estimate, the conditional variant applied to
 rescaled p-values at or below a threshold tau, and the discarding variant
 whose null-proportion estimate and threshold scan ignore p-values above
-tau.  All procedures return the same result record and operate purely on
-p-value vectors; no calibration logic lives here.
+tau.  All four share one step-up scan: the largest candidate s with
+m * pi0 * s / #{p <= s} <= q, then every p <= s is rejected; they differ
+only in pi0 and in the candidate set.  All procedures return the same
+result record and operate purely on p-value vectors; no calibration logic
+lives here.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pvalues import PValueVector, conditional_pvalues
+from .pvalues import PValueVector
 
 
 @dataclass(frozen=True)
@@ -70,23 +73,19 @@ def _check_q(q: float):
         raise ValueError("target FDR level q must lie in (0, 1)")
 
 
-def _step_up(vals: np.ndarray, slope: float) -> float | None:
-    """Largest p with p_(k) <= k * slope, or None when no order statistic
-    passes (distinct from a passing threshold of exactly 0.0)."""
-    m = vals.size
-    if m == 0:
-        return None
+def _step_up(vals: np.ndarray, q: float, pi0: float, m: int) -> float:
+    """Largest p whose estimated FDP m * pi0 * p / k is at most q, with k its
+    1-based position in sorted order, or 0.0 when none passes.
+
+    At the last position of a tie k equals #{p <= s}, so this is the
+    largest passing candidate s of the count-based definition.  An exact
+    zero always passes, so rejecting ``vals <= 0.0`` after a 0.0 result
+    rejects nothing.
+    """
     ordered = np.sort(vals)
-    passing = np.flatnonzero(ordered <= slope * np.arange(1, m + 1))
-    if passing.size == 0:
-        return None
-    return float(ordered[passing[-1]])
-
-
-def _reject_at(vals: np.ndarray, thr: float | None):
-    if thr is None:
-        return np.empty(0, dtype=np.intp), 0.0
-    return np.flatnonzero(vals <= thr), thr
+    fdp_hat = m * pi0 * ordered / np.arange(1, ordered.size + 1)
+    passing = np.flatnonzero(fdp_hat <= q)
+    return float(ordered[passing[-1]]) if passing.size else 0.0
 
 
 def bh(pvalues, q: float) -> RejectionResult:
@@ -94,7 +93,8 @@ def bh(pvalues, q: float) -> RejectionResult:
     _check_q(q)
     vals = _values(pvalues)
     m = vals.size
-    rejected, thr = _reject_at(vals, _step_up(vals, q / m) if m else None)
+    thr = _step_up(vals, q, 1.0, m)
+    rejected = np.flatnonzero(vals <= thr)
     return RejectionResult(
         rejected=rejected, threshold=thr, pi0_hat=1.0, procedure="bh", q=q, m=m
     )
@@ -120,7 +120,8 @@ def storey_bh(pvalues, q: float, lam: float = 0.5) -> RejectionResult:
     vals = _values(pvalues)
     m = vals.size
     pi0 = min(max(storey_pi0(vals, lam), 1.0 / m), 1.0)
-    rejected, thr = _reject_at(vals, _step_up(vals, q / (m * pi0)))
+    thr = _step_up(vals, q, pi0, m)
+    rejected = np.flatnonzero(vals <= thr)
     return RejectionResult(
         rejected=rejected, threshold=thr, pi0_hat=pi0, procedure="stbh", q=q, m=m
     )
@@ -129,35 +130,27 @@ def storey_bh(pvalues, q: float, lam: float = 0.5) -> RejectionResult:
 def c_storey_bh(
     pvalues, q: float, tau: float = 0.5, lam: float = 0.5
 ) -> RejectionResult:
-    """Storey-BH on conditionally rescaled p-values p/tau given p <= tau.
+    """Storey-BH on the conditionally rescaled p-values p/tau given p <= tau.
 
     The adaptive step-up runs entirely on the conditioned vector (with its
-    own length and pi0 estimate) and rejections are mapped back through
-    the recorded source indices, so the rejection set can only contain
-    hypotheses with p <= tau.
+    own length and pi0 estimate) and its rejections are mapped back to the
+    original positions, so the rejection set only holds hypotheses with
+    p <= tau.  With nothing conditioned, nothing is rejected and pi0_hat
+    is 1.
     """
     _check_q(q)
+    if not (0.0 < tau <= 1.0):
+        raise ValueError("tau must lie in (0, 1]")
     vals = _values(pvalues)
     m = vals.size
-    cond = conditional_pvalues(vals, tau)
-    if len(cond) == 0:
-        return RejectionResult(
-            rejected=np.empty(0, dtype=np.intp),
-            threshold=0.0,
-            pi0_hat=1.0,
-            procedure="c-stbh",
-            q=q,
-            m=m,
-        )
-    inner = storey_bh(cond.values, q, lam)
-    rejected = cond.source_indices[inner.rejected]
+    keep = np.flatnonzero(vals <= tau)
+    rejected, thr, pi0 = keep, 0.0, 1.0
+    if keep.size:
+        inner = storey_bh(vals[keep] / tau, q, lam)
+        rejected, pi0 = keep[inner.rejected], inner.pi0_hat
+        thr = inner.threshold * tau
     return RejectionResult(
-        rejected=rejected,
-        threshold=inner.threshold * tau,
-        pi0_hat=inner.pi0_hat,
-        procedure="c-stbh",
-        q=q,
-        m=m,
+        rejected=rejected, threshold=thr, pi0_hat=pi0, procedure="c-stbh", q=q, m=m
     )
 
 
@@ -179,22 +172,10 @@ def d_storey_bh(
     if m == 0:
         raise ValueError("cannot run the discarding procedure on an empty vector")
     pi0 = float((1.0 + ((vals > lam) & (vals <= tau)).sum()) / (m * (tau - lam)))
-    below = np.sort(vals[vals <= tau])
-    threshold = 0.0
-    if below.size:
-        counts = np.searchsorted(below, below, side="right")
-        fdp_hat = m * pi0 * below / np.maximum(counts, 1)
-        passing = np.flatnonzero(fdp_hat <= q)
-        if passing.size:
-            threshold = float(below[passing[-1]])
-    rejected = np.flatnonzero(vals <= threshold)
+    thr = _step_up(vals[vals <= tau], q, pi0, m)
+    rejected = np.flatnonzero(vals <= thr)
     return RejectionResult(
-        rejected=rejected,
-        threshold=threshold,
-        pi0_hat=pi0,
-        procedure="d-stbh",
-        q=q,
-        m=m,
+        rejected=rejected, threshold=thr, pi0_hat=pi0, procedure="d-stbh", q=q, m=m
     )
 
 

@@ -1,10 +1,9 @@
 """P-value construction for one-sided z-statistics.
 
-Four flavors share one container: the textbook tail probability under
-N(0, 1), the oracle version using the true marginal null, the
+Three flavors share one container: the textbook tail probability under
+N(0, 1), the oracle version using the true marginal null, and the
 empirical-Bayes version read off the survival function of a fitted null
-model, and conditionally rescaled p-values restricted to those at or
-below a threshold tau.
+model.
 """
 
 from __future__ import annotations
@@ -16,23 +15,16 @@ import numpy as np
 from .distributions import std_normal_cdf
 from .nullmodel import NullModel, _as_values
 
-KINDS = ("standard", "oracle", "empirical_bayes", "conditional")
+KINDS = ("standard", "oracle", "empirical_bayes")
 
 
 @dataclass(frozen=True)
 class PValueVector:
-    """P-values plus provenance.
-
-    ``source_indices`` maps entries back to positions in the originating
-    vector; it is the identity for full-length kinds and the surviving
-    positions for the conditional kind, whose rescale threshold is kept in
-    ``tau``.
-    """
+    """P-values in [0, 1], one per statistic, plus the kind of null they
+    were computed against."""
 
     values: np.ndarray
     kind: str
-    tau: float | None = None
-    source_indices: np.ndarray | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -43,17 +35,6 @@ class PValueVector:
         object.__setattr__(self, "values", values)
         if self.kind not in KINDS:
             raise ValueError(f"unknown p-value kind {self.kind!r}")
-        if self.kind == "conditional":
-            if self.tau is None or not (0.0 < self.tau <= 1.0):
-                raise ValueError("conditional p-values need tau in (0, 1]")
-        if self.source_indices is not None:
-            idx = np.asarray(self.source_indices, dtype=np.intp)
-            if idx.shape != values.shape:
-                raise ValueError("source_indices length must match values")
-            object.__setattr__(self, "source_indices", idx)
-
-    def __len__(self):
-        return int(self.values.size)
 
 
 def standard_pvalues(sample) -> PValueVector:
@@ -80,22 +61,3 @@ def eb_pvalues(sample, model: NullModel) -> PValueVector:
     z = _as_values(sample)
     vals = np.clip(model.sf(z), 0.0, 1.0)
     return PValueVector(values=vals, kind="empirical_bayes")
-
-
-def conditional_pvalues(pvalues, tau: float = 0.5) -> PValueVector:
-    """Restrict to p <= tau and rescale by tau.
-
-    The result carries ``source_indices`` so rejections on the conditioned
-    vector can be mapped back to the original hypotheses.  An empty result
-    (every p above tau) is legitimate and handled downstream.
-    """
-    if not (0.0 < tau <= 1.0):
-        raise ValueError("tau must lie in (0, 1]")
-    vals = pvalues.values if isinstance(pvalues, PValueVector) else np.asarray(
-        pvalues, dtype=float
-    )
-    keep = np.flatnonzero(vals <= tau)
-    scaled = vals[keep] / tau
-    return PValueVector(
-        values=scaled, kind="conditional", tau=tau, source_indices=keep
-    )

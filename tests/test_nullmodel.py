@@ -410,6 +410,14 @@ def test_select_null_drops_nan_loglik():
     assert np.isfinite(model.loglik)
 
 
+def test_select_null_names_overflowing_mixture_columns():
+    # statistics near -1e300 overflow every log-density column; the mixture
+    # failure must say so rather than surface an internal solver error
+    with pytest.raises(RuntimeError, match="mixture: mixture log-density") as err:
+        select_null(StatSample(values=[-1e300, -1e300, 5.0]))
+    assert "argmax" not in str(err.value)
+
+
 def test_select_null_validates_k():
     z = StatSample(values=np.random.default_rng(2).standard_normal(200))
     for k in (1, 0):

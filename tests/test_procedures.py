@@ -140,6 +140,21 @@ def test_c_storey_bh_nothing_conditioned():
     assert r.threshold == 0.0
 
 
+def test_c_storey_bh_conditions_on_p_at_or_below_tau():
+    # a p-value equal to tau is conditioned (to 1.0, raising the
+    # conditioned length to 2), one just above it is not
+    assert c_storey_bh(np.array([0.5, 0.026]), q=0.1, tau=0.5).rejected.tolist() == []
+    r = c_storey_bh(np.array([0.50000001, 0.026]), q=0.1, tau=0.5)
+    assert r.rejected.tolist() == [1]
+
+
+def test_c_storey_bh_validation():
+    p = np.array([0.1, 0.2])
+    for tau in (0.0, 1.5):
+        with pytest.raises(ValueError, match="tau"):
+            c_storey_bh(p, q=0.1, tau=tau)
+
+
 def test_d_storey_bh_worked_example():
     p = np.array([0.01, 0.2, 0.3, 0.6])
     r = d_storey_bh(p, q=0.2, lam=0.25, tau=0.5)
@@ -182,6 +197,19 @@ def test_exact_zero_pvalue_is_rejected():
 # brute-force agreement on random instances
 
 
+def _assert_matches_brute_force(vals, q):
+    assert set(bh(vals, q).rejected.tolist()) == bf_bh(vals, q)
+    assert set(storey_bh(vals, q).rejected.tolist()) == bf_storey(vals, q)
+    assert set(c_storey_bh(vals, q).rejected.tolist()) == bf_c_storey(vals, q)
+    assert set(d_storey_bh(vals, q).rejected.tolist()) == bf_d_storey(vals, q)
+
+
+def _ulps_away(x, n):
+    for _ in range(abs(n)):
+        x = np.nextafter(x, np.inf if n > 0 else -np.inf)
+    return x
+
+
 def test_procedures_match_brute_force():
     rng = np.random.default_rng(2024)
     for _ in range(200):
@@ -191,11 +219,33 @@ def test_procedures_match_brute_force():
         small = rng.random(m) < 0.4
         vals[small] = vals[small] * 0.02
         q = float(rng.uniform(0.02, 0.4))
+        _assert_matches_brute_force(vals, q)
 
-        assert set(bh(vals, q).rejected.tolist()) == bf_bh(vals, q)
-        assert set(storey_bh(vals, q).rejected.tolist()) == bf_storey(vals, q)
-        assert set(c_storey_bh(vals, q).rejected.tolist()) == bf_c_storey(vals, q)
-        assert set(d_storey_bh(vals, q).rejected.tolist()) == bf_d_storey(vals, q)
+    # p-values within 3 ulps of the BH boundaries k * q / m, where the
+    # scan's rounding decides the outcome
+    for _ in range(200):
+        m = int(rng.integers(1, 13))
+        q = float(rng.uniform(0.02, 0.4))
+        vals = rng.random(m)
+        near = rng.random(m) < 0.5
+        k = rng.integers(1, m + 1, size=m)
+        vals[near] = [
+            _ulps_away(ki * q / m, int(rng.integers(-3, 4))) for ki in k[near]
+        ]
+        _assert_matches_brute_force(vals, q)
+
+
+@pytest.mark.parametrize(
+    "vals, q, expected",
+    [
+        ([0.08333333333333334, 0.95, 0.95], 0.25, [0]),
+        ([3.3333333333333335e-05] * 2 + [0.1], 0.1, [0, 1]),
+    ],
+)
+def test_bh_follows_the_definition_at_rounding_boundaries(vals, q, expected):
+    vals = np.array(vals)
+    assert bh(vals, q).rejected.tolist() == expected
+    assert sorted(bf_bh(vals, q)) == expected
 
 
 def test_discarding_with_full_window_is_uncapped_storey():

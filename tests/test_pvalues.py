@@ -7,7 +7,6 @@ from scipy.stats import norm
 from ebnull.nullmodel import GaussianNull, MixtureNull, NullModel, StatSample
 from ebnull.pvalues import (
     PValueVector,
-    conditional_pvalues,
     eb_pvalues,
     oracle_pvalues,
     standard_pvalues,
@@ -65,29 +64,6 @@ def test_eb_pvalues_stay_positive_in_the_right_tail():
         assert p.values[0] == pytest.approx(expected, rel=1e-12)
 
 
-def test_conditional_pvalues_worked_example():
-    p = PValueVector(values=np.array([0.2, 0.6, 0.4, 0.9]), kind="standard")
-    cond = conditional_pvalues(p, tau=0.5)
-    np.testing.assert_allclose(cond.values, [0.4, 0.8], rtol=1e-14)
-    np.testing.assert_array_equal(cond.source_indices, [0, 2])
-    assert cond.kind == "conditional"
-    assert cond.tau == 0.5
-
-
-def test_conditional_pvalues_keeps_boundary():
-    p = PValueVector(values=np.array([0.5, 0.50000001]), kind="standard")
-    cond = conditional_pvalues(p, tau=0.5)
-    np.testing.assert_array_equal(cond.source_indices, [0])
-    assert cond.values[0] == pytest.approx(1.0, rel=1e-14)
-
-
-def test_conditional_pvalues_empty_result():
-    p = PValueVector(values=np.array([0.7, 0.9]), kind="standard")
-    cond = conditional_pvalues(p, tau=0.5)
-    assert cond.values.size == 0
-    assert cond.source_indices.size == 0
-
-
 def test_pvalue_vector_validation():
     with pytest.raises(ValueError):
         PValueVector(values=np.array([0.1, 1.5]), kind="standard")
@@ -97,16 +73,6 @@ def test_pvalue_vector_validation():
         PValueVector(values=np.array([0.1]), kind="mystery")
     with pytest.raises(ValueError):
         PValueVector(values=np.array([[0.1]]), kind="standard")
-    # conditional vectors must carry tau and matching source indices
-    with pytest.raises(ValueError):
-        PValueVector(values=np.array([0.1]), kind="conditional")
-    with pytest.raises(ValueError):
-        PValueVector(values=np.array([0.1]), kind="conditional", tau=0.5,
-                     source_indices=np.array([0, 1]))
-    with pytest.raises(ValueError):
-        conditional_pvalues(
-            PValueVector(values=np.array([0.1]), kind="standard"), tau=0.0
-        )
 
 
 def test_pvalues_stay_in_unit_interval():
