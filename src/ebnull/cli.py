@@ -6,8 +6,10 @@ fit-null   estimate the null model from a statistics file, report JSON
 test       run testing procedures on a statistics file, report JSON
 simulate   run the synthetic benchmark grids, report CSV
 histogram  standard vs fitted-null p-value histograms, report JSON
-tstats     Welch two-sample t-statistics from a two-group CSV matrix
+tstats     two-sample t-statistics and their z-values from a two-group matrix
 
+Statistics files and ``tstats`` matrices are read by one CSV reader: blank
+and ``#`` lines are skipped, quotes hold within a line, errors name the line.
 All reports embed the resolved configuration and tool version, numbers are
 serialized with full round-trip precision, and re-running a command with
 the same inputs reproduces the output byte for byte.  Errors exit non-zero
@@ -24,6 +26,7 @@ import sys
 from itertools import chain, islice
 
 import numpy as np
+from scipy import special
 
 from . import __version__
 from .nullmodel import NullModel, StatSample, TruncationRule, select_null
@@ -57,7 +60,7 @@ def _normalize_number(text: str) -> str:
     return text.strip().replace("−", "-")
 
 
-def _parse_float(text: str, lineno: int, what: str = "statistic") -> float:
+def _parse_float(text: str, lineno: int, what: str) -> float:
     try:
         value = float(_normalize_number(text))
     except ValueError:
@@ -67,8 +70,8 @@ def _parse_float(text: str, lineno: int, what: str = "statistic") -> float:
     return value
 
 
-def _parse_column(texts, linenos) -> np.ndarray:
-    """Statistics of one column, parsed in one pass.
+def _parse_column(texts, linenos, what: str = "statistic") -> np.ndarray:
+    """Numbers of one column, parsed in one pass.
 
     A cell that is unparseable, non-finite or written with the typographic
     minus sends the column through ``_parse_float`` cell by cell, which
@@ -80,7 +83,7 @@ def _parse_column(texts, linenos) -> np.ndarray:
             return values
     except ValueError:
         pass
-    return np.array([_parse_float(text, lineno) for text, lineno in zip(texts, linenos)])
+    return np.array([_parse_float(text, lineno, what) for text, lineno in zip(texts, linenos)])
 
 
 # data lines split and parsed at a time: the lists of one block are freed
@@ -88,56 +91,56 @@ def _parse_column(texts, linenos) -> np.ndarray:
 _BLOCK_LINES = 8192
 
 
-def _data_lines(fh):
-    """(1-based line number, text) of each line that is not blank or a ``#`` comment."""
-    return (
-        (lineno, line.rstrip("\n"))
-        for lineno, line in enumerate(fh, start=1)
-        if (head := line.lstrip()) and head[0] != "#"
-    )
+def _data_lines(path: str):
+    """(1-based line number, text) of each non-blank, non-``#`` line of ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if (head := line.lstrip()) and head[0] != "#":
+                    yield lineno, line.rstrip("\n")
+    except OSError as exc:
+        raise CLIError(f"cannot read {path}: {exc.strerror or exc}")
 
 
-def _blocks(lines):
-    """The line numbers and texts of consecutive blocks of ``_BLOCK_LINES`` lines."""
+def _split_row(text: str) -> list[str]:
+    """The cells of one line, by ``csv`` rules only where it holds a quote."""
+    return next(csv.reader([text])) if '"' in text else text.split(",")
+
+
+def _csv_blocks(lines, width: int):
+    """Line numbers and split rows of blocks of ``_BLOCK_LINES`` lines; a row
+    not ``width`` cells wide raises after the rows above it are handed out,
+    so a caller that parses each block reports faults in line order."""
     while block := list(islice(lines, _BLOCK_LINES)):
-        yield zip(*block)
+        linenos, texts = zip(*block)
+        rows = list(map(_split_row, texts))
+        bad = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
+        yield linenos[:bad], rows[:bad]
+        if bad < len(rows):
+            raise CLIError(f"line {linenos[bad]}: expected {width} fields, got {len(rows[bad])}")
 
 
 def ingest_statistics(path: str) -> StatSample:
     """Load statistics from a plain-number file or a CSV with a
     ``statistic`` column (and optional ``id`` column).
 
-    Blank lines and ``#`` comment lines are skipped in both formats; every
-    parse failure names the offending 1-based line number.  The file is
-    read once, in blocks of lines whose statistic column is parsed in one
-    pass.  Each data line is split on its own (by ``csv`` rules only where
-    it holds a quote), so an unterminated quote never runs into the next
-    line.
+    The file is read once, in blocks of lines whose statistic column is
+    parsed in one pass; every parse failure names its 1-based line number.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return _read_statistics(_data_lines(fh), path)
-    except OSError as exc:
-        raise CLIError(f"cannot read {path}: {exc.strerror or exc}")
-
-
-def _read_statistics(lines, path: str) -> StatSample:
+    lines = _data_lines(path)
     first = next(lines, None)
     if first is None:
         raise CLIError(f"{path}: no statistics found")
     try:
         float(_normalize_number(first[1]))
-        is_plain = True
     except ValueError:
-        is_plain = False
-
-    if is_plain:
-        values = [_parse_column(texts, linenos)
-                  for linenos, texts in _blocks(chain([first], lines))]
+        pass
+    else:  # a plain file is a one-column CSV without a header
+        values = [_parse_column([row[0] for row in rows], linenos)
+                  for linenos, rows in _csv_blocks(chain([first], lines), 1)]
         return StatSample(values=np.concatenate(values))
 
-    header = next(csv.reader([first[1]]))
-    header = [cell.strip() for cell in header]
+    header = [cell.strip() for cell in _split_row(first[1])]
     if "statistic" not in header:
         raise CLIError(
             f"line {first[0]}: expected a number or a CSV header with a "
@@ -147,16 +150,8 @@ def _read_statistics(lines, path: str) -> StatSample:
     id_col = header.index("id") if "id" in header else None
 
     values, ids = [], []
-    for linenos, texts in _blocks(lines):
-        rows = [next(csv.reader([text])) if '"' in text else text.split(",")
-                for text in texts]
-        # errors come in line order: the cells above a row of the wrong width parse first
-        bad = next((i for i, row in enumerate(rows) if len(row) != len(header)), len(rows))
-        values.append(_parse_column([row[stat_col] for row in rows[:bad]], linenos))
-        if bad < len(rows):
-            raise CLIError(
-                f"line {linenos[bad]}: expected {len(header)} fields, got {len(rows[bad])}"
-            )
+    for linenos, rows in _csv_blocks(lines, len(header)):
+        values.append(_parse_column([row[stat_col] for row in rows], linenos))
         if id_col is not None:
             ids += [row[id_col].strip() for row in rows]
     if not values:
@@ -171,21 +166,11 @@ def _read_statistics(lines, path: str) -> StatSample:
 # serialization helpers
 
 
-def _fmt(value) -> object:
-    """JSON-ready representation; floats keep round-trip precision."""
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [_fmt(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_fmt(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _fmt(v) for k, v in value.items()}
-    return value
+def _json_default(value) -> object:
+    """``json.dumps`` hook: numpy arrays and scalars as Python lists and numbers."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 # how ``json.dumps`` (``ensure_ascii=True``) writes a string and a bool
@@ -202,7 +187,7 @@ def _write_output(text: str, output: str | None):
 
 
 def _json_report(payload: dict, output: str | None):
-    _write_output(json.dumps(_fmt(payload), indent=2) + "\n", output)
+    _write_output(json.dumps(payload, indent=2, default=_json_default) + "\n", output)
 
 
 def _json_floats(values: np.ndarray) -> list[str]:
@@ -328,7 +313,7 @@ def cmd_test(args) -> int:
         },
         "records": [],
     }
-    head = json.dumps(_fmt(report), indent=2)
+    head = json.dumps(report, indent=2, default=_json_default)
     records = _records_json(
         sample.ids or tuple(map(str, range(len(sample)))),
         sample.values,
@@ -382,7 +367,7 @@ def cmd_simulate(args) -> int:
         "version": __version__,
     }
     buf = io.StringIO()
-    buf.write("# config: " + json.dumps(_fmt(config)) + "\n")
+    buf.write("# config: " + json.dumps(config, default=_json_default) + "\n")
     buf.write("scenario,param,method,fdr,fdr_se,tpr,tpr_se,n_reps,seed\n")
     for prior in priors:
         scenario = SimScenario(
@@ -437,40 +422,71 @@ def cmd_histogram(args) -> int:
     return 0
 
 
-def _read_matrix(path: str):
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise CLIError(f"cannot read {path}: {exc.strerror or exc}")
-    rows = [row for row in rows if row and any(cell.strip() for cell in row)]
-    if len(rows) < 2:
-        raise CLIError(f"{path}: need a header row and at least one data row")
-    header = [cell.strip() for cell in rows[0]]
-    return header, rows[1:]
-
-
-def _group_values(row, cols, lineno, row_id):
-    out = []
-    for col in cols:
-        cell = row[col].strip()
-        if cell == "" or cell.upper() in ("NA", "NAN"):
-            continue
-        out.append(_parse_float(cell, lineno, what=f"value for {row_id!r}"))
-    return out
+def _row_moments(x: np.ndarray):
+    """Count, mean and sample variance of each row's non-NaN values (NaN
+    below two values).  Rows of equal count are packed together, so each
+    row's values are summed exactly as on their own."""
+    present = ~np.isnan(x)
+    n = present.sum(axis=1)
+    mean, var = np.full((2, len(x)), np.nan)
+    for k in np.unique(n[n >= 2]).tolist():
+        rows = n == k
+        values = x[rows][present[rows]].reshape(-1, k)
+        mean[rows], var[rows] = values.mean(axis=1), values.var(axis=1, ddof=1)
+    return n, mean, var
 
 
 def cmd_tstats(args) -> int:
-    header, rows = _read_matrix(args.input)
+    """Each matrix row's two-sample t, degrees of freedom and z-value
+    Phi^-1(F_df(t)).  Column 1 is the id; blank, NA and nan cells are missing."""
     group_a = [name.strip() for name in args.group_a.split(",") if name.strip()]
     group_b = [name.strip() for name in args.group_b.split(",") if name.strip()]
     if not group_a or not group_b:
         raise CLIError("both --group-a and --group-b need at least one column")
+    lines = _data_lines(args.input)
+    first = next(lines, None)
+    if first is None:
+        raise CLIError(f"{args.input}: need a header row and at least one data row")
+    header = [cell.strip() for cell in _split_row(first[1])]
     for name in group_a + group_b:
         if name not in header:
             raise CLIError(f"column {name!r} not found in {args.input}")
-    cols_a = [header.index(name) for name in group_a]
-    cols_b = [header.index(name) for name in group_b]
+    cols = [header.index(name) for name in group_a + group_b]
+
+    linenos, ids, blocks = [], [], []
+    for block_linenos, rows in _csv_blocks(lines, len(header)):
+        # cells row by row, so the first bad cell parsed is the first in the file
+        cells = [row[col] for row in rows for col in cols]
+        keep = [i for i, cell in enumerate(cells) if cell.strip().upper() not in ("", "NA", "NAN")]
+        values = np.full(len(cells), np.nan)
+        values[keep] = _parse_column([cells[i] for i in keep],
+                                     [block_linenos[i // len(cols)] for i in keep], "value")
+        blocks.append(values.reshape(len(rows), len(cols)))
+        linenos += block_linenos
+        ids += [row[0].strip() for row in rows]
+    if not ids:
+        raise CLIError(f"{args.input}: need a header row and at least one data row")
+
+    x = np.concatenate(blocks)
+    na, ma, va = _row_moments(x[:, : len(group_a)])
+    nb, mb, vb = _row_moments(x[:, len(group_a) :])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if args.pooled:
+            df = (na + nb - 2).astype(float)
+            denom = np.sqrt(((na - 1) * va + (nb - 1) * vb) / df * (1.0 / na + 1.0 / nb))
+        else:
+            vna, vnb = va / na, vb / nb
+            denom = np.sqrt(vna + vnb)
+            df = (vna + vnb) ** 2 / (vna**2 / (na - 1) + vnb**2 / (nb - 1))
+        t = (ma - mb) / denom
+    # from the lower tail on both sides, so neither is lost to 1 - F rounding
+    z = np.copysign(special.ndtri(special.stdtr(df, -np.abs(t))), t)
+    # too few values and zero variance leave t, and so z, non-finite as well
+    for i in np.flatnonzero(~np.isfinite(z))[:1].tolist():
+        reason = ("needs at least 2 values per group" if min(na[i], nb[i]) < 2
+                  else "has zero variance" if denom[i] == 0.0
+                  else f"has no finite z-value (t = {t[i]:.6g} on {df[i]:.6g} df)")
+        raise CLIError(f"line {linenos[i]}: row {ids[i]!r} {reason}")
 
     config = {
         "command": "tstats",
@@ -481,33 +497,11 @@ def cmd_tstats(args) -> int:
         "version": __version__,
     }
     buf = io.StringIO()
-    buf.write("# config: " + json.dumps(_fmt(config)) + "\n")
-    buf.write("id,statistic\n")
-    for offset, row in enumerate(rows):
-        lineno = offset + 2
-        if len(row) != len(header):
-            raise CLIError(
-                f"line {lineno}: expected {len(header)} fields, got {len(row)}"
-            )
-        row_id = row[0].strip()
-        a = _group_values(row, cols_a, lineno, row_id)
-        b = _group_values(row, cols_b, lineno, row_id)
-        if len(a) < 2 or len(b) < 2:
-            raise CLIError(
-                f"line {lineno}: row {row_id!r} needs at least 2 values per group"
-            )
-        na, nb = len(a), len(b)
-        ma, mb = float(np.mean(a)), float(np.mean(b))
-        va, vb = float(np.var(a, ddof=1)), float(np.var(b, ddof=1))
-        if args.pooled:
-            pooled = ((na - 1) * va + (nb - 1) * vb) / (na + nb - 2)
-            denom = np.sqrt(pooled * (1.0 / na + 1.0 / nb))
-        else:
-            denom = np.sqrt(va / na + vb / nb)
-        if denom == 0.0:
-            raise CLIError(f"line {lineno}: row {row_id!r} has zero variance")
-        t = (ma - mb) / float(denom)
-        buf.write(f"{row_id},{t!r}\n")
+    buf.write("# config: " + json.dumps(config, default=_json_default) + "\n")
+    # csv quotes an id that holds a comma or quote; floats are written as repr
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("id", "t", "df", "statistic"))
+    writer.writerows(zip(ids, t.tolist(), df.tolist(), z.tolist()))
     _write_output(buf.getvalue(), args.output)
     return 0
 
@@ -580,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fit_flags(p)
     p.set_defaults(func=cmd_histogram)
 
-    p = sub.add_parser("tstats", help="Welch t-statistics from a two-group matrix")
+    p = sub.add_parser("tstats", help="t-statistics and z-values from a two-group matrix")
     p.add_argument("--input", required=True)
     p.add_argument("--output")
     p.add_argument("--group-a", required=True,

@@ -263,7 +263,8 @@ def fit_gaussian(sample, xi: float) -> GaussianNull:
     root of the score in ``[zbar, 0]``, found by Brent's method
     (``scipy.optimize.brentq`` at its default tolerances).  ``iterations``
     counts Brent's iterations (0 when the estimate is 0); ``converged``
-    means Brent's method converged and the log-likelihood is finite.
+    means Brent's method converged and the log-likelihood is finite.  A
+    non-finite score at 0 (statistics too large in magnitude) raises.
     """
     z0 = _truncated(_as_values(sample), xi)
     n = z0.size
@@ -272,7 +273,11 @@ def fit_gaussian(sample, xi: float) -> GaussianNull:
     def score(mu):
         return zbar - mu + float(mills_ratio(xi - mu))
 
-    if score(0.0) >= 0.0:
+    score0 = score(0.0)
+    if not math.isfinite(score0):
+        raise ValueError("gaussian score at mu0 = 0 is not finite: the statistics "
+                         "are too large in magnitude for the truncated-normal fit")
+    if score0 >= 0.0:
         mu0, iterations, converged = 0.0, 0, True
     else:
         mu0, result = brentq(score, zbar, 0.0, full_output=True, disp=False)

@@ -1,11 +1,13 @@
 """End-to-end command-line tests driven through main(argv)."""
 
+import csv
 import json
 import warnings
 
 import numpy as np
 import pytest
-from scipy.stats import ttest_ind
+from scipy.stats import norm, ttest_ind
+from scipy.stats import t as student_t
 
 import ebnull.cli as cli
 from ebnull.cli import CLIError, ingest_statistics, main
@@ -247,7 +249,7 @@ def awkward_ids_file(tmp_path):
 
 def _per_record_report(path, methods, written):
     """The report as the writer built it before it went columnar: one dict
-    per record, all of it through ``_fmt`` and ``json.dumps(indent=2)``."""
+    per record, all of it through ``json.dumps(indent=2)``."""
     sample = ingest_statistics(path)
     model = select_null(sample, TruncationRule(quantile_level=0.85), k=50)
     p_std = standard_pvalues(sample)
@@ -278,7 +280,7 @@ def _per_record_report(path, methods, written):
         },
         "records": records,
     }
-    return json.dumps(cli._fmt(report), indent=2) + "\n"
+    return json.dumps(report, indent=2, default=cli._json_default) + "\n"
 
 
 @pytest.mark.parametrize("methods", [("proposed",), METHOD_NAMES],
@@ -389,6 +391,20 @@ def test_histogram_report(stats_file, capsys):
 # tstats command
 
 
+def _tstats_row(line):
+    """The t, df and statistic cells of one ``tstats`` output row."""
+    return [float(cell) for cell in line.split(",")[1:]]
+
+
+def _assert_matches_scipy(row, a, b, equal_var):
+    expected = ttest_ind(a, b, equal_var=equal_var)
+    t, df, z = row
+    assert t == pytest.approx(expected.statistic, rel=1e-12)
+    assert df == pytest.approx(expected.df, rel=1e-12)
+    assert z == pytest.approx(norm.ppf(student_t.cdf(expected.statistic, expected.df)),
+                              rel=1e-10)
+
+
 def test_tstats_matches_scipy_welch(tmp_path, capsys):
     rng = np.random.default_rng(23)
     a = rng.normal(0.0, 1.0, (6, 4))
@@ -404,13 +420,12 @@ def test_tstats_matches_scipy_welch(tmp_path, capsys):
                  "--group-a", "a0,a1,a2,a3",
                  "--group-b", "b0,b1,b2,b3,b4"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[1] == "id,statistic"
-    got = {row.split(",")[0]: float(row.split(",")[1]) for row in lines[2:]}
+    assert lines[1] == "id,t,df,statistic"
+    got = {row.split(",")[0]: _tstats_row(row) for row in lines[2:]}
     for i in range(6):
         aa = [float(f"{x:.9f}") for x in a[i]]
         bb = [float(f"{x:.9f}") for x in b[i]]
-        expected = ttest_ind(aa, bb, equal_var=False).statistic
-        assert got[f"r{i}"] == pytest.approx(expected, rel=1e-12)
+        _assert_matches_scipy(got[f"r{i}"], aa, bb, equal_var=False)
 
 
 def test_tstats_pooled_matches_scipy(tmp_path, capsys):
@@ -419,21 +434,22 @@ def test_tstats_pooled_matches_scipy(tmp_path, capsys):
                   "r0,1.0,2.0,3.0,2.5,3.5,4.5\n")
     assert main(["tstats", "--input", str(path), "--group-a", "x1,x2,x3",
                  "--group-b", "y1,y2,y3", "--pooled"]) == 0
-    got = float(capsys.readouterr().out.splitlines()[2].split(",")[1])
-    expected = ttest_ind([1.0, 2.0, 3.0], [2.5, 3.5, 4.5],
-                         equal_var=True).statistic
-    assert got == pytest.approx(expected, rel=1e-12)
+    row = _tstats_row(capsys.readouterr().out.splitlines()[2])
+    _assert_matches_scipy(row, [1.0, 2.0, 3.0], [2.5, 3.5, 4.5], equal_var=True)
+    assert row[1] == 4.0
 
 
 def test_tstats_drops_blank_cells(tmp_path, capsys):
     path = _write(tmp_path / "m.csv",
                   "id,x1,x2,x3,y1,y2,y3\n"
-                  "r0,1.0,2.0,,2.5,NA,4.5\n")
+                  "r0,1.0,2.0,,2.5,NA,4.5\n"
+                  "r1,nan,2.0,3.5,2.5,1.0,4.5\n")
     assert main(["tstats", "--input", str(path), "--group-a", "x1,x2,x3",
                  "--group-b", "y1,y2,y3"]) == 0
-    got = float(capsys.readouterr().out.splitlines()[2].split(",")[1])
-    expected = ttest_ind([1.0, 2.0], [2.5, 4.5], equal_var=False).statistic
-    assert got == pytest.approx(expected, rel=1e-12)
+    lines = capsys.readouterr().out.splitlines()
+    _assert_matches_scipy(_tstats_row(lines[2]), [1.0, 2.0], [2.5, 4.5], equal_var=False)
+    _assert_matches_scipy(_tstats_row(lines[3]), [2.0, 3.5], [2.5, 1.0, 4.5],
+                          equal_var=False)
 
 
 def test_tstats_errors(tmp_path, capsys):
@@ -448,6 +464,104 @@ def test_tstats_errors(tmp_path, capsys):
                  "--group-b", "y1,y2"]) == 1
     err = json.loads(capsys.readouterr().err)
     assert "nope" in err["error"]
+
+
+_MATRIX_HEAD = "id,x1,x2,y1,y2\n"
+
+
+def _tstats(tmp_path, text):
+    path = _write(tmp_path / "m.csv", text)
+    return main(["tstats", "--input", path, "--group-a", "x1,x2", "--group-b", "y1,y2"])
+
+
+def _tstats_error(tmp_path, capsys, text):
+    assert _tstats(tmp_path, text) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return json.loads(captured.err)["error"]
+
+
+def test_tstats_parse_error_names_the_file_line(tmp_path, capsys):
+    # blank lines count towards the 1-based line numbers, as in ingest
+    text = _MATRIX_HEAD + "\nr0,1,2,3,5\n\nr1,1,oops,3,5\n"
+    assert _tstats_error(tmp_path, capsys, text) == "line 5: cannot parse value from 'oops'"
+    text = _MATRIX_HEAD + "r0,1,2,3,5\n\nr1,1,inf,3,5\n"
+    assert _tstats_error(tmp_path, capsys, text) == "line 4: value must be finite, got 'inf'"
+
+
+def test_tstats_skips_comment_lines(tmp_path, capsys):
+    text = "# exported matrix\n" + _MATRIX_HEAD + "r0,1,2,3,5\n# midway\nr1,2,4,1,2\n"
+    assert _tstats(tmp_path, text) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[0] for line in lines[2:]] == ["r0", "r1"]
+    _assert_matches_scipy(_tstats_row(lines[3]), [2.0, 4.0], [1.0, 2.0], equal_var=False)
+    for text in ("# only a comment\n", "# note\n" + _MATRIX_HEAD):
+        assert _tstats_error(tmp_path, capsys, text).endswith(
+            "m.csv: need a header row and at least one data row")
+
+
+def test_tstats_reads_quoted_id_as_one_cell(tmp_path, capsys):
+    text = _MATRIX_HEAD + '"a,b",1,2,3,5\n"say ""hi""",2,4,1,2\n'
+    assert _tstats(tmp_path, text) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # ids that need quoting are written quoted, so ``test`` reads them back
+    rows = list(csv.reader(lines[2:]))
+    assert [row[0] for row in rows] == ["a,b", 'say "hi"']
+    assert all(len(row) == 4 for row in rows)
+
+
+def test_tstats_wrong_width_names_its_line(tmp_path, capsys):
+    text = _MATRIX_HEAD + "r0,1,2,3,5\n\nr1,1,2,3\n"
+    assert _tstats_error(tmp_path, capsys, text) == "line 4: expected 5 fields, got 4"
+
+
+def test_tstats_errors_come_in_file_order(tmp_path, capsys):
+    # width and parse errors in line order, as in ingest
+    text = _MATRIX_HEAD + "r0,1,bad,3,5\nr1,1,2,3\n"
+    assert _tstats_error(tmp_path, capsys, text) == "line 2: cannot parse value from 'bad'"
+    text = _MATRIX_HEAD + "r0,1,2,3\nr1,1,bad,3,5\n"
+    assert _tstats_error(tmp_path, capsys, text) == "line 2: expected 5 fields, got 4"
+    # count and zero-variance errors are found on whole columns after parsing
+    text = _MATRIX_HEAD + "r0,1,,3,5\nr1,1,bad,3,5\n"
+    assert _tstats_error(tmp_path, capsys, text) == "line 3: cannot parse value from 'bad'"
+    text = _MATRIX_HEAD + "r0,1,1,3,3\nr1,1,,3,5\n"
+    assert _tstats_error(tmp_path, capsys, text) == "line 2: row 'r0' has zero variance"
+    text = _MATRIX_HEAD + "r0,1,2,3,5\nr1,1,,3,5\nr2,1,1,3,3\n"
+    assert (_tstats_error(tmp_path, capsys, text)
+            == "line 3: row 'r1' needs at least 2 values per group")
+
+
+def test_tstats_rejects_a_z_value_beyond_float_range(tmp_path, capsys):
+    # t near -1.5e300 on 3 df has a lower tail far below the smallest float
+    path = _write(tmp_path / "m.csv",
+                  "id,x1,x2,x3,x4,y1,y2,y3,y4\n"
+                  "r0,0,1,2,3,1e300,1e300,1e300,1e300\n")
+    assert main(["tstats", "--input", path, "--group-a", "x1,x2,x3,x4",
+                 "--group-b", "y1,y2,y3,y4"]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err.startswith("line 2: row 'r0' ")
+    assert "no finite z-value" in err
+
+
+def test_tstats_then_test_rejects_nothing_on_null_matrix(tmp_path, capsys):
+    # raw Welch t on ~3 df is far wider than N(0, 1): read as z-values it
+    # gave 129 / 129 / 132 false rejections; the z-values give none
+    x = np.random.default_rng(5).standard_normal((5000, 6))
+    names = ["a1", "a2", "a3", "b1", "b2", "b3"]
+    rows = [f"g{i}," + ",".join(map(repr, row)) for i, row in enumerate(x.tolist())]
+    matrix = _write(tmp_path / "null.csv", "id," + ",".join(names) + "\n"
+                    + "\n".join(rows) + "\n")
+    stats = tmp_path / "z.csv"
+    assert main(["tstats", "--input", matrix, "--group-a", "a1,a2,a3",
+                 "--group-b", "b1,b2,b3", "--output", str(stats)]) == 0
+    assert main(["test", "--input", str(stats), "--method", "bh", "--method", "stbh",
+                 "--method", "proposed"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert len(report["records"]) == 5000
+    assert {method: block["n_rejected"] for method, block in report["methods"].items()} \
+        == {"bh": 0, "stbh": 0, "proposed": 0}
 
 
 # ---------------------------------------------------------------------------
