@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .distributions import (
     mills_ratio,
     skew_normal_cdf,
-    std_normal_cdf,
 )
 from .nullmodel import (
     GaussianNull,
@@ -59,7 +58,6 @@ __all__ = [
     # distributions
     "mills_ratio",
     "skew_normal_cdf",
-    "std_normal_cdf",
     # null model
     "GaussianNull",
     "MixtureNull",

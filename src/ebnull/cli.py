@@ -498,10 +498,13 @@ def cmd_tstats(args) -> int:
     }
     buf = io.StringIO()
     buf.write("# config: " + json.dumps(config, default=_json_default) + "\n")
-    # csv quotes an id that holds a comma or quote; floats are written as repr
+    # csv quotes an id that holds a comma or quote; floats are written as repr.
+    # An id led by "#" is quoted too, or ``_data_lines`` would skip its line
     writer = csv.writer(buf, lineterminator="\n")
+    quoting = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
     writer.writerow(("id", "t", "df", "statistic"))
-    writer.writerows(zip(ids, t.tolist(), df.tolist(), z.tolist()))
+    for row in zip(ids, t.tolist(), df.tolist(), z.tolist()):
+        (quoting if row[0].lstrip().startswith("#") else writer).writerow(row)
     _write_output(buf.getvalue(), args.output)
     return 0
 

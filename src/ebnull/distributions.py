@@ -1,11 +1,11 @@
 """Scalar distribution kernels used by the null-model fits.
 
-Everything here is elementary: the standard-normal distribution function,
-the Mills ratio, and the distribution function of the skew-normal family
-that arises when a one-sided Gaussian prior is convolved with unit
-Gaussian noise.  Heavy lifting, Owen's T included, is delegated to
-``scipy.special``; the functions exist to pin down conventions (the
-skew-normal's scale and shape, log-space evaluation) in one place.
+Everything here is elementary: the Mills ratio, and the distribution and
+survival functions of the skew-normal family that arises when a one-sided
+Gaussian prior is convolved with unit Gaussian noise.  Heavy lifting, Owen's
+T included, is delegated to ``scipy.special``; the functions exist to pin
+down conventions (the skew-normal's scale and shape, log-space evaluation)
+in one place.
 """
 
 from __future__ import annotations
@@ -23,12 +23,6 @@ def _maybe_scalar(out, x):
     if np.ndim(x) == 0:
         return float(out)
     return out
-
-
-def std_normal_cdf(x):
-    """Distribution function of N(0, 1)."""
-    out = special.ndtr(np.asarray(x, dtype=float))
-    return _maybe_scalar(out, x)
 
 
 def mills_ratio(x):
@@ -58,3 +52,10 @@ def skew_normal_cdf(x, sigma0):
     out = special.ndtr(t) - 2.0 * special.owens_t(t, -sigma0)
     out = np.clip(out, 0.0, 1.0)
     return _maybe_scalar(out, x)
+
+
+def skew_normal_sf(x, sigma0):
+    """Survival function of the law of ``skew_normal_cdf``, computed as
+    ``1 - skew_normal_cdf``: it loses relative accuracy in the far right
+    tail and reads 0 once the distribution function rounds to 1."""
+    return 1.0 - skew_normal_cdf(x, sigma0)

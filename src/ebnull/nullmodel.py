@@ -5,8 +5,9 @@ the textbook p-value 1 - Phi(z) conservative.  The remedy implemented here
 fits the marginal null law F0 on the statistics falling below a data-chosen
 cut (where alternatives are rare), then hands the fitted F0 to the p-value
 layer.  Each fitted family is a null law in its own right: it evaluates its
-``cdf`` and survival function ``sf`` and names the parameters a report
-shows.  Three nested families are fitted on the same truncated subsample:
+survival function ``sf``, the one tail the p-values read, and names the
+parameters a report shows.  Three nested families are fitted on the same
+truncated subsample:
 
 * a shifted Gaussian N(mu0, 1) with mu0 <= 0 (point-mass prior),
 * a skew-normal arising from a one-sided Gaussian prior spread sigma0,
@@ -26,7 +27,7 @@ import numpy as np
 from scipy import special
 from scipy.optimize import brentq, minimize_scalar
 
-from .distributions import _maybe_scalar, mills_ratio, skew_normal_cdf
+from .distributions import _maybe_scalar, mills_ratio, skew_normal_sf
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -133,9 +134,6 @@ class GaussianNull:
 
     family = "gaussian"
 
-    def cdf(self, z):
-        return special.ndtr(np.asarray(z, dtype=float) - self.mu0)
-
     def sf(self, z):
         return special.ndtr(self.mu0 - np.asarray(z, dtype=float))
 
@@ -150,8 +148,8 @@ class SkewNormalNull:
 
     ``eta = log(sigma0)`` is the internal optimization variable;
     ``at_boundary`` flags an estimate pinned at the search-interval edge.
-    The survival function is ``1 - cdf``, which loses relative accuracy in
-    the far right tail.
+    The survival function is ``skew_normal_sf``, which loses relative
+    accuracy in the far right tail.
     """
 
     sigma0: float
@@ -161,11 +159,8 @@ class SkewNormalNull:
 
     family = "skew_normal"
 
-    def cdf(self, z):
-        return skew_normal_cdf(z, self.sigma0)
-
     def sf(self, z):
-        return 1.0 - self.cdf(z)
+        return skew_normal_sf(z, self.sigma0)
 
     def report_params(self) -> dict:
         return {"sigma0": self.sigma0, "eta": self.eta,
@@ -197,12 +192,7 @@ class MixtureNull:
         keep = self.weights_p > 0
         return self.grid[keep], self.weights_p[keep]
 
-    # the weights sum to 1 only up to rounding, hence the clips
-    def cdf(self, z):
-        grid, weights = self._support()
-        t = np.asarray(z, dtype=float)[..., None] - grid
-        return np.clip(special.ndtr(t) @ weights, 0.0, 1.0)
-
+    # the weights sum to 1 only up to rounding, hence the clip
     def sf(self, z):
         grid, weights = self._support()
         t = grid - np.asarray(z, dtype=float)[..., None]
@@ -218,8 +208,8 @@ class MixtureNull:
 class NullModel:
     """Selected null family plus the truncation context it was fitted under.
 
-    ``cdf`` and ``sf`` delegate to the fitted law and return a float for
-    scalar input.
+    ``sf`` delegates to the fitted law and returns a float for scalar input;
+    ``family_logliks[family]`` is the selected law's log-likelihood.
     """
 
     variant: GaussianNull | SkewNormalNull | MixtureNull
@@ -230,13 +220,6 @@ class NullModel:
     @property
     def family(self) -> str:
         return self.variant.family
-
-    @property
-    def loglik(self) -> float:
-        return self.variant.loglik
-
-    def cdf(self, z):
-        return _maybe_scalar(self.variant.cdf(z), z)
 
     def sf(self, z):
         return _maybe_scalar(self.variant.sf(z), z)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .distributions import skew_normal_cdf
+from .distributions import _maybe_scalar, skew_normal_sf
 from .nullmodel import StatSample, TruncationRule, select_null
 from .procedures import (
     RejectionResult,
@@ -58,11 +58,12 @@ class TwoPointPrior:
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.where(rng.random(size) < self.rho, -1.0, 0.0)
 
-    def marginal_cdf(self, z):
-        """CDF of the z-statistic marginal when the mean follows this prior."""
+    def marginal_sf(self, z):
+        """Survival function of the z-statistic marginal when the mean
+        follows this prior."""
         arr = np.asarray(z, dtype=float)
-        out = self.rho * ndtr(arr + 1.0) + (1.0 - self.rho) * ndtr(arr)
-        return float(out) if np.ndim(z) == 0 else out
+        out = self.rho * ndtr(-1.0 - arr) + (1.0 - self.rho) * ndtr(-arr)
+        return _maybe_scalar(out, z)
 
 
 @dataclass(frozen=True)
@@ -85,10 +86,10 @@ class HalfNormalPrior:
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return -np.abs(rng.normal(0.0, self.sigma0, size=size))
 
-    def marginal_cdf(self, z):
-        """Closed-form marginal: skew-normal with scale sqrt(1 + sigma0^2)
-        and shape -sigma0."""
-        return skew_normal_cdf(z, self.sigma0)
+    def marginal_sf(self, z):
+        """Survival function of the closed-form marginal: skew-normal with
+        scale sqrt(1 + sigma0^2) and shape -sigma0."""
+        return skew_normal_sf(z, self.sigma0)
 
 
 # ---------------------------------------------------------------------------
@@ -134,13 +135,13 @@ class MethodSummary:
 class SimSummary:
     """Per-method aggregate of a scenario run.
 
-    ``n_reps_used`` counts replications that completed; failed ones are
-    dropped from every method's average and tallied in ``n_failures``.
+    ``n_reps_used`` counts replications that completed out of
+    ``scenario.n_reps``; failed ones are dropped from every method's average
+    and tallied in ``n_failures``.
     """
 
     scenario: SimScenario
     methods: dict = field(default_factory=dict)
-    n_reps_requested: int = 0
     n_reps_used: int = 0
     n_failures: int = 0
 
@@ -210,10 +211,11 @@ def run_scenario(
     The null is fitted, once per replication, only when "proposed" is
     requested.  An invalid ``xi_quantile`` (for any method set) or
     ``mixture_k`` (when "proposed" is requested) raises ``ValueError``
-    before the first replication is drawn.  A replication whose fit or
-    procedures fail on a numeric error is dropped for all methods (keeping
-    the per-method averages paired) and counted in the summary; any other
-    exception propagates.
+    before the first replication is drawn.  A replication whose null fit
+    fails on a numeric error is dropped for all methods (keeping the
+    per-method averages paired) and counted in the summary.  The procedures
+    run outside that guard, so an invalid ``tau``, ``lambda_storey`` or
+    ``lambda_discard`` raises ``ValueError``; any other exception propagates.
     Results do not depend on iteration order beyond the deterministic
     per-rep seeding.
     """
@@ -229,22 +231,22 @@ def run_scenario(
     failures = 0
     for rep in range(scenario.n_reps):
         sample = generate(scenario, rep)
-        try:
-            p_eb = None
-            if fit_null:
+        p_eb = None
+        if fit_null:
+            try:
                 p_eb = eb_pvalues(sample, select_null(sample, rule, k=mixture_k))
-            results = run_methods(
-                methods,
-                standard_pvalues(sample),
-                p_eb,
-                q=scenario.q,
-                tau=tau,
-                lambda_storey=lambda_storey,
-                lambda_discard=lambda_discard,
-            )
-        except (ValueError, ArithmeticError, RuntimeError):
-            failures += 1  # failed reps are tallied, not fatal
-            continue
+            except (ValueError, ArithmeticError, RuntimeError):
+                failures += 1  # failed reps are tallied, not fatal
+                continue
+        results = run_methods(
+            methods,
+            standard_pvalues(sample),
+            p_eb,
+            q=scenario.q,
+            tau=tau,
+            lambda_storey=lambda_storey,
+            lambda_discard=lambda_discard,
+        )
         for method, result in results.items():
             metrics = compute_metrics(result, sample.is_alt)
             rows[method][0].append(metrics.fdp)
@@ -268,7 +270,6 @@ def run_scenario(
     return SimSummary(
         scenario=scenario,
         methods=summaries,
-        n_reps_requested=scenario.n_reps,
         n_reps_used=n_used,
         n_failures=failures,
     )

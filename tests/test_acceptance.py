@@ -405,7 +405,7 @@ def test_criterion_9_transform_convexity(report):
     worst = np.inf
     for prior in (TwoPointPrior(0.5), HalfNormalPrior(1.0)):
         x = np.linspace(0.002, 0.998, 200)
-        h = 1.0 - prior.marginal_cdf(special.ndtri(1.0 - x))
+        h = prior.marginal_sf(special.ndtri(1.0 - x))
         worst = min(worst, float(np.diff(h, n=2).min()))
     ok = worst >= -1e-10
     report(9, ok, f"second differences of the exactness transform >= "

@@ -305,7 +305,7 @@ def test_test_report_writes_non_finite_as_json_does(awkward_ids_file, tmp_path,
     def with_nan(sample, model):
         values = eb_pvalues(sample, model).values.copy()
         values[1] = np.nan
-        return PValueVector(values=values, kind="empirical_bayes")
+        return PValueVector(values=values)
 
     monkeypatch.setattr(cli, "eb_pvalues", with_nan)
     out = tmp_path / "report.json"
@@ -365,6 +365,21 @@ def test_simulate_rejects_bad_xi_quantile(capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert "quantile level" in json.loads(lines[0])["error"]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--tau", "2", "--method", "c-stbh", "--method", "bh"],
+    ["--lambda-discard", "0.7", "--method", "d-stbh"],
+    ["--lambda-storey", "1.5", "--method", "stbh"],
+], ids=["tau", "lambda-discard", "lambda-storey"])
+def test_simulate_rejects_bad_procedure_parameter(capsys, flags):
+    # as in ``ebnull test``: an error, not rows of nan from failed replications
+    assert main(["simulate", "--rho-grid", "0.8", "--n-reps", "2", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert "error" in json.loads(lines[0])
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +523,22 @@ def test_tstats_reads_quoted_id_as_one_cell(tmp_path, capsys):
     rows = list(csv.reader(lines[2:]))
     assert [row[0] for row in rows] == ["a,b", 'say "hi"']
     assert all(len(row) == 4 for row in rows)
+
+
+def test_tstats_quotes_an_id_led_by_hash(tmp_path):
+    # written bare, the "#7" row would be skipped by ``test`` as a comment
+    rows = ",1,2,3,5\ng2,2,4,1,2\ng3,1,3,2,5\n"
+    path = tmp_path / "m.csv"
+    for first_id, name in (('"#7"', "hashed"), ("r7", "plain")):
+        _write(path, _MATRIX_HEAD + first_id + rows)
+        assert main(["tstats", "--input", str(path), "--group-a", "x1,x2",
+                     "--group-b", "y1,y2", "--output", str(tmp_path / name)]) == 0
+    assert ingest_statistics(str(tmp_path / "hashed")).ids == ("#7", "g2", "g3")
+    # only that id is quoted: every other id and float keeps its bytes
+    hashed, plain = ((tmp_path / name).read_text(encoding="utf-8").splitlines()
+                     for name in ("hashed", "plain"))
+    assert hashed[2] == '"#7"' + plain[2][len("r7"):]
+    assert hashed[:2] + hashed[3:] == plain[:2] + plain[3:]
 
 
 def test_tstats_wrong_width_names_its_line(tmp_path, capsys):

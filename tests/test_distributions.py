@@ -4,32 +4,35 @@ Frozen constants were computed with mpmath at 40 significant digits
 (normal cdf via mp.ncdf, Owen's T by direct quadrature of its integral
 definition).  The Owen's T checks run against
 ``scipy.special.owens_t``, the kernel that ``skew_normal_cdf`` and the
-skew-normal fit call.
+skew-normal fit call.  The skew-normal with sigma0 = 0 is N(0, 1), so the
+standard-normal constants check ``skew_normal_sf`` at that shape.
 """
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import owens_t
+from scipy.special import ndtr, owens_t
 from scipy.stats import skewnorm
 
 from ebnull.distributions import (
     mills_ratio,
     skew_normal_cdf,
-    std_normal_cdf,
+    skew_normal_sf,
 )
 
 
 def test_std_normal_point_values():
-    assert std_normal_cdf(0.0) == pytest.approx(0.5, abs=1e-15)
-    assert std_normal_cdf(1.3) == pytest.approx(0.90319951541438966685, rel=1e-14)
+    # P(Z >= -1.3) = Phi(1.3) for Z ~ N(0, 1)
+    assert skew_normal_sf(0.0, 0.0) == pytest.approx(0.5, abs=1e-15)
+    assert skew_normal_sf(-1.3, 0.0) == pytest.approx(0.90319951541438966685,
+                                                      rel=1e-14)
 
 
 def test_std_normal_vectorized():
     z = np.array([-2.0, 0.0, 1.5])
-    out = std_normal_cdf(z)
+    out = skew_normal_sf(z, 0.0)
     assert out.shape == (3,)
-    assert np.all(np.diff(out) > 0)
+    assert np.all(np.diff(out) < 0)
 
 
 def test_mills_ratio_reference_values():
@@ -60,7 +63,7 @@ def test_owens_t_identities():
                                                 rel=1e-13)
     # T(h, 1) = Phi(h) (1 - Phi(h)) / 2
     for h in (-1.0, 0.4, 2.2):
-        p = std_normal_cdf(h)
+        p = ndtr(h)
         assert owens_t(h, 1.0) == pytest.approx(p * (1 - p) / 2, rel=1e-12)
     # odd in a, even in h
     assert owens_t(0.8, -0.6) == pytest.approx(-owens_t(0.8, 0.6), rel=1e-13)
@@ -90,8 +93,7 @@ def test_skew_normal_reference_values():
 
 def test_skew_normal_zero_shape_is_normal():
     z = np.array([-3.0, 0.0, 1.7])
-    np.testing.assert_allclose(skew_normal_cdf(z, 0.0), std_normal_cdf(z),
-                               rtol=1e-12)
+    np.testing.assert_allclose(skew_normal_cdf(z, 0.0), ndtr(z), rtol=1e-12)
 
 
 def test_skew_normal_at_location():
@@ -108,10 +110,12 @@ def test_skew_normal_pdf_integrates_to_cdf():
     dist = skewnorm(-sigma0, scale=np.sqrt(1.0 + sigma0**2))
     part, _ = quad(dist.pdf, -np.inf, 0.7)
     assert skew_normal_cdf(0.7, sigma0) == pytest.approx(part, abs=1e-9)
+    tail, _ = quad(dist.pdf, 0.7, np.inf)
+    assert skew_normal_sf(0.7, sigma0) == pytest.approx(tail, abs=1e-9)
 
 
 def test_scalar_in_scalar_out():
-    assert isinstance(std_normal_cdf(0.3), float)
     assert isinstance(mills_ratio(-1.0), float)
     assert isinstance(skew_normal_cdf(0.3, 1.0), float)
-    assert isinstance(std_normal_cdf(np.array([0.3])), np.ndarray)
+    assert isinstance(skew_normal_sf(0.3, 1.0), float)
+    assert isinstance(skew_normal_sf(np.array([0.3]), 1.0), np.ndarray)

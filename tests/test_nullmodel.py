@@ -192,7 +192,7 @@ def test_fit_skew_normal_recovers_spread():
     assert fit.sigma0 == pytest.approx(2.0, abs=0.3)
     # the fitted law is the skew-normal with shape -sigma0, scale sqrt(1 + sigma0^2)
     law = skewnorm(-fit.sigma0, scale=np.sqrt(1 + fit.sigma0**2))
-    assert fit.cdf(0.3) == pytest.approx(law.cdf(0.3), rel=1e-10)
+    assert fit.sf(0.3) == pytest.approx(law.sf(0.3), rel=1e-10)
 
 
 def test_fit_skew_normal_dominates_eta_grid():
@@ -319,7 +319,7 @@ def test_select_null_reports_all_families():
     model = select_null(StatSample(values=z))
     assert set(model.family_logliks) == {"gaussian", "skew_normal", "mixture"}
     finite = {k: v for k, v in model.family_logliks.items() if v is not None}
-    assert model.loglik == max(finite.values())
+    assert model.variant.loglik == max(finite.values())
     assert model.family in finite
     assert model.n_truncated == int((z <= model.cut_xi).sum())
 
@@ -407,7 +407,7 @@ def test_select_null_drops_nan_loglik():
     assert model.family_logliks["gaussian"] is None
     # the skew-normal log-likelihood is -inf here: a failed fit too
     assert model.family_logliks["skew_normal"] is None
-    assert np.isfinite(model.loglik)
+    assert np.isfinite(model.variant.loglik)
 
 
 def test_select_null_names_overflowing_mixture_columns():
@@ -466,13 +466,15 @@ def _example_models():
     ]
 
 
-def _reference_pdf(variant):
-    """The density of each law, written with scipy.stats alone."""
+def _reference_law(variant, method):
+    """The density (``"pdf"``) or survival function (``"sf"``) of each law,
+    written with scipy.stats alone."""
     if variant.family == "gaussian":
-        return norm(loc=variant.mu0).pdf
+        return getattr(norm(loc=variant.mu0), method)
     if variant.family == "skew_normal":
-        return skewnorm(-variant.sigma0, scale=np.sqrt(1 + variant.sigma0**2)).pdf
-    return lambda t: sum(w * norm.pdf(t - mu)
+        law = skewnorm(-variant.sigma0, scale=np.sqrt(1 + variant.sigma0**2))
+        return getattr(law, method)
+    return lambda t: sum(w * getattr(norm, method)(t - mu)
                          for mu, w in zip(variant.grid, variant.weights_p))
 
 
@@ -484,27 +486,23 @@ def _wrap(variant):
                          ids=["gaussian", "skew_normal", "mixture"])
 def test_null_law_is_a_distribution(variant):
     grid = np.linspace(-12.0, 12.0, 241)
-    cdf = variant.cdf(grid)
-    assert np.all(np.diff(cdf) >= -1e-12)  # monotone up to roundoff
-    assert cdf[0] < 1e-6 and cdf[-1] > 1 - 1e-6
-    # the distribution function integrates an independent density
-    part, _ = quad(_reference_pdf(variant), -np.inf, 0.3)
-    assert _wrap(variant).cdf(0.3) == pytest.approx(part, abs=1e-8)
+    sf = variant.sf(grid)
+    assert np.all(np.diff(sf) <= 1e-12)  # monotone up to roundoff
+    assert sf[0] > 1 - 1e-6 and sf[-1] < 1e-6
+    # the survival function integrates an independent density
+    tail, _ = quad(_reference_law(variant, "pdf"), 0.3, np.inf)
+    assert _wrap(variant).sf(0.3) == pytest.approx(tail, abs=1e-8)
 
 
 def test_null_law_closed_forms():
     g, sn, mix = _example_models()
-    assert _wrap(g).cdf(0.0) == pytest.approx(norm.cdf(0.8), rel=1e-12)
     assert _wrap(g).sf(0.0) == pytest.approx(norm.sf(0.8), rel=1e-12)
-    assert _wrap(sn).cdf(0.7) == pytest.approx(
-        skew_normal_cdf(0.7, sn.sigma0), rel=1e-12
-    )
     assert _wrap(sn).sf(0.7) == pytest.approx(
         1.0 - skew_normal_cdf(0.7, sn.sigma0), rel=1e-12
     )
-    manual_cdf = sum(w * norm.cdf(0.4 - mu)
-                     for mu, w in zip(mix.grid, mix.weights_p))
-    assert _wrap(mix).cdf(0.4) == pytest.approx(manual_cdf, rel=1e-12)
+    assert _wrap(sn).sf(0.7) == pytest.approx(
+        _reference_law(sn, "sf")(0.7), rel=1e-12
+    )
     manual_sf = sum(w * norm.sf(0.4 - mu)
                     for mu, w in zip(mix.grid, mix.weights_p))
     assert _wrap(mix).sf(0.4) == pytest.approx(manual_sf, rel=1e-12)
@@ -520,12 +518,11 @@ def test_null_law_dispatch_and_types():
         wrapped = _wrap(variant)
         assert wrapped.family == variant.family
         assert list(variant.report_params()) == report_keys[variant.family]
-        for method in ("cdf", "sf"):
-            scalar = getattr(wrapped, method)(0.2)
-            assert isinstance(scalar, float)
-            assert scalar == float(getattr(variant, method)(0.2))
-            assert getattr(wrapped, method)(np.array([0.2, 0.5])).shape == (2,)
-            assert getattr(wrapped, method)(np.zeros((2, 3))).shape == (2, 3)
+        scalar = wrapped.sf(0.2)
+        assert isinstance(scalar, float)
+        assert scalar == float(variant.sf(0.2))
+        assert wrapped.sf(np.array([0.2, 0.5])).shape == (2,)
+        assert wrapped.sf(np.zeros((2, 3))).shape == (2, 3)
 
 
 def _sf_reference(z, atoms, weights):
@@ -574,7 +571,9 @@ def _null_laws(draw):
 def test_null_law_sf_properties(law, z):
     z = np.sort(np.asarray(z))
     model = _wrap(law)
-    sf, cdf = model.sf(z), model.cdf(z)
-    np.testing.assert_allclose(sf + cdf, 1.0, rtol=0.0, atol=1e-15)
+    sf = model.sf(z)
+    # against scipy.stats; the skew-normal sf is 1 - cdf and rounds to 0 in
+    # the far right tail, hence the absolute tolerance
+    np.testing.assert_allclose(sf, _reference_law(law, "sf")(z), rtol=1e-9, atol=1e-12)
     assert np.all((sf >= 0.0) & (sf <= 1.0))
     assert np.all(np.diff(sf) <= 0.0)

@@ -1,5 +1,6 @@
 """P-value construction from statistics and fitted null laws."""
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -11,12 +12,12 @@ from ebnull.pvalues import (
     oracle_pvalues,
     standard_pvalues,
 )
+from ebnull.simulate import TwoPointPrior
 
 
 def test_standard_pvalues_values():
     s = StatSample(values=[0.0, 1.959963984540054, -1.0, 1.0])
     p = standard_pvalues(s)
-    assert p.kind == "standard"
     assert p.values[0] == pytest.approx(0.5, abs=1e-15)
     assert p.values[1] == pytest.approx(0.025, rel=1e-12)
     # symmetric statistics give p-values summing to one
@@ -31,11 +32,27 @@ def test_standard_pvalues_decreasing_in_z():
 
 
 def test_oracle_pvalues_uses_supplied_cdf():
+    # the supplied law is read through its survival function, clipped to [0, 1]
     s = StatSample(values=[-1.0, 0.5, 2.0])
-    p = oracle_pvalues(s, lambda z: norm.cdf(z, loc=-1.0))
+    p = oracle_pvalues(s, lambda z: norm.sf(z, loc=-1.0))
     expected = 1.0 - norm.cdf(s.values, loc=-1.0)
     np.testing.assert_allclose(p.values, expected, rtol=1e-12)
-    assert p.kind == "oracle"
+    assert oracle_pvalues(s, lambda z: z).values.tolist() == [0.0, 0.5, 1.0]
+
+
+def test_oracle_pvalues_two_point_match_mpmath_in_the_tail():
+    # P(Z >= z) for Z ~ rho N(-1, 1) + (1 - rho) N(0, 1), at 50 digits;
+    # 1 - F0(z) reads 0 here from z of about 8.3
+    rho = 0.5
+    z = np.linspace(-5.0, 35.0, 81)
+    p = oracle_pvalues(StatSample(values=z), TwoPointPrior(rho).marginal_sf)
+    with mpmath.workdps(50):
+        def tail(t, mu):
+            return mpmath.erfc((mpmath.mpf(t) - mu) / mpmath.sqrt(2)) / 2
+        want = np.array([float(rho * tail(t, -1) + (1 - rho) * tail(t, 0))
+                         for t in z.tolist()])
+    assert np.all(p.values > 0.0)
+    np.testing.assert_allclose(p.values, want, rtol=1e-10, atol=0.0)
 
 
 def test_eb_pvalues_from_fitted_model():
@@ -45,7 +62,6 @@ def test_eb_pvalues_from_fitted_model():
     p = eb_pvalues(s, model)
     np.testing.assert_allclose(p.values, 1.0 - norm.cdf(s.values + 0.8),
                                rtol=1e-12)
-    assert p.kind == "empirical_bayes"
     # shifting the null left makes every p-value smaller than the standard one
     assert np.all(p.values <= standard_pvalues(s).values)
 
@@ -66,13 +82,12 @@ def test_eb_pvalues_stay_positive_in_the_right_tail():
 
 def test_pvalue_vector_validation():
     with pytest.raises(ValueError):
-        PValueVector(values=np.array([0.1, 1.5]), kind="standard")
+        PValueVector(values=np.array([0.1, 1.5]))
     with pytest.raises(ValueError):
-        PValueVector(values=np.array([-0.01]), kind="standard")
+        PValueVector(values=np.array([-0.01]))
     with pytest.raises(ValueError):
-        PValueVector(values=np.array([0.1]), kind="mystery")
-    with pytest.raises(ValueError):
-        PValueVector(values=np.array([[0.1]]), kind="standard")
+        PValueVector(values=np.array([[0.1]]))
+    assert PValueVector([0.0, 0.25, 1.0]).values.dtype == float
 
 
 def test_pvalues_stay_in_unit_interval():

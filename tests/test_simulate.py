@@ -27,10 +27,11 @@ def test_two_point_prior_draw_and_cdf():
     draws = prior.draw(rng, 200000)
     assert set(np.unique(draws)) == {-1.0, 0.0}
     assert np.mean(draws == -1.0) == pytest.approx(0.3, abs=0.01)
-    # cdf is the matching two-component Gaussian mixture
+    # the marginal is the matching two-component Gaussian mixture
     z = np.array([-2.0, 0.0, 1.5])
-    expected = 0.3 * norm.cdf(z + 1.0) + 0.7 * norm.cdf(z)
-    np.testing.assert_allclose(prior.marginal_cdf(z), expected, rtol=1e-12)
+    expected = 0.3 * norm.sf(z + 1.0) + 0.7 * norm.sf(z)
+    np.testing.assert_allclose(prior.marginal_sf(z), expected, rtol=1e-12)
+    assert isinstance(prior.marginal_sf(1.5), float)
     with pytest.raises(ValueError):
         TwoPointPrior(rho=1.2)
 
@@ -63,9 +64,9 @@ def test_half_normal_marginal_cdf_is_skewed_left():
         / (1 - 2 * delta**2 / np.pi) ** 1.5
     sample_skew = float(np.mean(((z - z.mean()) / z.std()) ** 3))
     assert sample_skew == pytest.approx(gamma1, abs=0.05)
-    # and the cdf matches the empirical distribution
+    # and the survival function matches the empirical one
     for t in (-3.0, -1.0, 0.5):
-        assert prior.marginal_cdf(t) == pytest.approx(np.mean(z <= t), abs=0.01)
+        assert prior.marginal_sf(t) == pytest.approx(np.mean(z > t), abs=0.01)
     with pytest.raises(ValueError):
         HalfNormalPrior(sigma0=0.0)
 
@@ -124,7 +125,7 @@ def small_run():
 
 def test_run_scenario_summary_shape(small_run):
     assert set(small_run.methods) == {"bh", "stbh", "proposed"}
-    assert small_run.n_reps_requested == 4
+    assert small_run.scenario.n_reps == 4
     assert small_run.n_reps_used == 4
     assert small_run.n_failures == 0
     for summary in small_run.methods.values():
@@ -199,6 +200,13 @@ def test_run_scenario_validates_xi_quantile_up_front(monkeypatch):
     assert drawn == []
 
 
+def test_run_scenario_raises_on_invalid_procedure_parameter():
+    """An invalid tau is a configuration error, not a failed replication."""
+    scenario = SimScenario(null_prior=TwoPointPrior(0.8), m=200, n_reps=2)
+    with pytest.raises(ValueError, match="tau"):
+        run_scenario(scenario, methods=("c-stbh", "bh"), tau=2.0)
+
+
 def test_run_scenario_failure_causes(monkeypatch):
     """Replications whose fits all fail numerically are tallied; a
     programming error in a fit propagates instead of being counted."""
@@ -237,7 +245,7 @@ def test_pvalue_histogram_bin_conventions():
 def test_pvalue_histogram_validation_and_empty():
     assert pvalue_histogram(np.array([]), bins=3).tolist() == [0, 0, 0]
     counts = pvalue_histogram(
-        PValueVector(values=np.array([0.1, 0.9]), kind="standard"), bins=2
+        PValueVector(values=np.array([0.1, 0.9])), bins=2
     )
     assert counts.tolist() == [1, 1]
     with pytest.raises(ValueError):
