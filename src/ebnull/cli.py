@@ -47,7 +47,7 @@ DEFAULT_RHO_GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 DEFAULT_SIGMA0_GRID = (1.0, 1.2, 1.4, 1.6, 1.8, 2.0)
 
 
-class CLIError(Exception):
+class CLIError(ValueError):
     """User-facing failure with a one-line message."""
 
 
@@ -404,11 +404,12 @@ def cmd_histogram(args) -> int:
         "command": "histogram",
         "input": args.input,
         "bins": args.bins,
+        "lambda_storey": args.lambda_storey,
         "xi_quantile": args.xi_quantile,
         "k": args.k,
         "version": __version__,
     }
-    pi0_raw = storey_pi0(p_eb.values, args.lambda_storey)
+    pi0_raw = storey_pi0(p_eb, args.lambda_storey)
     report = {
         "config": config,
         "edges": np.linspace(0.0, 1.0, args.bins + 1),
@@ -448,10 +449,17 @@ def cmd_tstats(args) -> int:
     if first is None:
         raise CLIError(f"{args.input}: need a header row and at least one data row")
     header = [cell.strip() for cell in _split_row(first[1])]
-    for name in group_a + group_b:
+    names = group_a + group_b
+    for name in names:
         if name not in header:
             raise CLIError(f"column {name!r} not found in {args.input}")
-    cols = [header.index(name) for name in group_a + group_b]
+    # a column read twice would give a wrong t without any other sign
+    for name in names:
+        if names.count(name) > 1:
+            raise CLIError(f"column {name!r} is named twice in --group-a and --group-b")
+        if header.count(name) > 1:
+            raise CLIError(f"column {name!r} matches {header.count(name)} header cells")
+    cols = [header.index(name) for name in names]
 
     linenos, ids, blocks = [], [], []
     for block_linenos, rows in _csv_blocks(lines, len(header)):
@@ -595,7 +603,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CLIError, ValueError, RuntimeError) as exc:
+    except ValueError as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 1
 

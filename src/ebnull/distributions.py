@@ -1,11 +1,12 @@
-"""Scalar distribution kernels used by the null-model fits.
+"""Distribution kernels used by the null-model fits.
 
 Everything here is elementary: the Mills ratio, and the distribution and
 survival functions of the skew-normal family that arises when a one-sided
 Gaussian prior is convolved with unit Gaussian noise.  Heavy lifting, Owen's
 T included, is delegated to ``scipy.special``; the functions exist to pin
 down conventions (the skew-normal's scale and shape, log-space evaluation)
-in one place.
+in one place.  Each is a numpy expression: an array in gives an array of
+the same shape out, and a scalar gives an ``np.float64``, a ``float``.
 """
 
 from __future__ import annotations
@@ -18,13 +19,6 @@ from scipy import special
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-def _maybe_scalar(out, x):
-    """Return a python float when the input was scalar."""
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
 def mills_ratio(x):
     """phi(x) / Phi(x), evaluated in log space.
 
@@ -33,8 +27,7 @@ def mills_ratio(x):
     grows like -x).
     """
     x = np.asarray(x, dtype=float)
-    out = np.exp(-0.5 * (_LOG_2PI + x * x) - special.log_ndtr(x))
-    return _maybe_scalar(out, x)
+    return np.exp(-0.5 * (_LOG_2PI + x * x) - special.log_ndtr(x))
 
 
 def skew_normal_cdf(x, sigma0):
@@ -45,13 +38,12 @@ def skew_normal_cdf(x, sigma0):
     -sigma0, so the value is Phi(t) - 2 T(t, -sigma0) at
     t = x / sqrt(1 + sigma0^2).  Owen's T supplies the skew correction
     exactly; the result is clipped to [0, 1] to absorb the last-digit
-    wobble of the subtraction.
+    wobble of the subtraction.  sigma0 is squared as the skew-normal fit
+    squares it, since the fit reads its truncation mass from here.
     """
     x = np.asarray(x, dtype=float)
-    t = x / math.sqrt(1.0 + sigma0**2)
-    out = special.ndtr(t) - 2.0 * special.owens_t(t, -sigma0)
-    out = np.clip(out, 0.0, 1.0)
-    return _maybe_scalar(out, x)
+    t = x / math.sqrt(1.0 + sigma0 * sigma0)
+    return np.clip(special.ndtr(t) - 2.0 * special.owens_t(t, -sigma0), 0.0, 1.0)
 
 
 def skew_normal_sf(x, sigma0):

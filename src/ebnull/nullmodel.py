@@ -27,9 +27,7 @@ import numpy as np
 from scipy import special
 from scipy.optimize import brentq, minimize_scalar
 
-from .distributions import _maybe_scalar, mills_ratio, skew_normal_sf
-
-_LOG_2PI = float(np.log(2.0 * np.pi))
+from .distributions import _LOG_2PI, mills_ratio, skew_normal_cdf, skew_normal_sf
 
 # relative margin a richer family's log-likelihood must exceed to win
 TIE_RTOL = 1e-9
@@ -208,8 +206,9 @@ class MixtureNull:
 class NullModel:
     """Selected null family plus the truncation context it was fitted under.
 
-    ``sf`` delegates to the fitted law and returns a float for scalar input;
-    ``family_logliks[family]`` is the selected law's log-likelihood.
+    ``sf`` delegates to the fitted law: an array of the input's shape, or
+    an ``np.float64`` for scalar input; ``family_logliks[family]`` is the
+    selected law's log-likelihood.
     """
 
     variant: GaussianNull | SkewNormalNull | MixtureNull
@@ -222,7 +221,7 @@ class NullModel:
         return self.variant.family
 
     def sf(self, z):
-        return _maybe_scalar(self.variant.sf(z), z)
+        return self.variant.sf(z)
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +287,7 @@ def _skew_loglik(eta, z0, xi, n, sum_zz):
         - 0.5 * sum_zz / (omega * omega)
         + float(special.log_ndtr(-sigma0 * z0 / omega).sum())
     )
-    h = xi / omega
-    cdf_xi = float(special.ndtr(h) - 2.0 * special.owens_t(h, -sigma0))
-    cdf_xi = min(max(cdf_xi, 1e-300), 1.0)
+    cdf_xi = max(float(skew_normal_cdf(xi, sigma0)), 1e-300)
     return ll - n * math.log(cdf_xi)
 
 
@@ -522,7 +519,8 @@ def select_null(sample, rule: TruncationRule | None = None, k: int = 50) -> Null
     ``LinAlgError``, or ``ArithmeticError``) or returns a non-finite
     log-likelihood counts as failed and is recorded as ``None`` in
     ``family_logliks``; failures are tolerated as long as at least one
-    family fits.  Any other exception propagates.  The fits run with numpy's
+    family fits, and when none does ``ValueError`` names each family's
+    failure.  Any other exception propagates.  The fits run with numpy's
     overflow and invalid-value warnings off, since the finite-loglik rule
     already judges what those produce.
     """
@@ -554,7 +552,7 @@ def select_null(sample, rule: TruncationRule | None = None, k: int = 50) -> Null
             best = fit
     if best is None:
         details = "; ".join(f"{name}: {msg}" for name, msg in errors.items())
-        raise RuntimeError(f"all null-family fits failed ({details})")
+        raise ValueError(f"all null-family fits failed ({details})")
 
     return NullModel(
         variant=best, cut_xi=xi, n_truncated=n_truncated, family_logliks=logliks

@@ -8,7 +8,7 @@ tau.  All four share one step-up scan: the largest candidate s with
 m * pi0 * s / #{p <= s} <= q, then every p <= s is rejected; they differ
 only in pi0 and in the candidate set.  All procedures return the same
 result record and operate purely on p-value vectors; no calibration logic
-lives here.
+lives here.  Invalid p-values or parameters raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pvalues import PValueVector
+from .pvalues import PValueVector, _as_pvalues
 
 
 @dataclass(frozen=True)
@@ -59,15 +59,6 @@ class ErrorMetrics:
     tpp: float
 
 
-def _values(pvalues) -> np.ndarray:
-    if isinstance(pvalues, PValueVector):
-        return pvalues.values
-    vals = np.asarray(pvalues, dtype=float)
-    if vals.ndim != 1:
-        raise ValueError("p-values must form a one-dimensional vector")
-    return vals
-
-
 def _check_q(q: float):
     if not (0.0 < q < 1.0):
         raise ValueError("target FDR level q must lie in (0, 1)")
@@ -91,7 +82,7 @@ def _step_up(vals: np.ndarray, q: float, pi0: float, m: int) -> float:
 def bh(pvalues, q: float) -> RejectionResult:
     """Benjamini-Hochberg step-up at level q."""
     _check_q(q)
-    vals = _values(pvalues)
+    vals = _as_pvalues(pvalues)
     m = vals.size
     thr = _step_up(vals, q, 1.0, m)
     rejected = np.flatnonzero(vals <= thr)
@@ -107,7 +98,7 @@ def storey_pi0(pvalues, lam: float = 0.5) -> float:
     """
     if not (0.0 <= lam < 1.0):
         raise ValueError("lambda must lie in [0, 1)")
-    vals = _values(pvalues)
+    vals = _as_pvalues(pvalues)
     m = vals.size
     if m == 0:
         raise ValueError("cannot estimate pi0 from an empty vector")
@@ -117,9 +108,9 @@ def storey_pi0(pvalues, lam: float = 0.5) -> float:
 def storey_bh(pvalues, q: float, lam: float = 0.5) -> RejectionResult:
     """Adaptive BH with Storey's estimate clipped into [1/m, 1]."""
     _check_q(q)
-    vals = _values(pvalues)
+    vals = _as_pvalues(pvalues)
     m = vals.size
-    pi0 = min(max(storey_pi0(vals, lam), 1.0 / m), 1.0)
+    pi0 = min(max(storey_pi0(pvalues, lam), 1.0 / m), 1.0)
     thr = _step_up(vals, q, pi0, m)
     rejected = np.flatnonzero(vals <= thr)
     return RejectionResult(
@@ -141,12 +132,12 @@ def c_storey_bh(
     _check_q(q)
     if not (0.0 < tau <= 1.0):
         raise ValueError("tau must lie in (0, 1]")
-    vals = _values(pvalues)
+    vals = _as_pvalues(pvalues)
     m = vals.size
     keep = np.flatnonzero(vals <= tau)
     rejected, thr, pi0 = keep, 0.0, 1.0
     if keep.size:
-        inner = storey_bh(vals[keep] / tau, q, lam)
+        inner = storey_bh(PValueVector(vals[keep] / tau), q, lam)
         rejected, pi0 = keep[inner.rejected], inner.pi0_hat
         thr = inner.threshold * tau
     return RejectionResult(
@@ -167,7 +158,7 @@ def d_storey_bh(
     _check_q(q)
     if not (0.0 <= lam < tau <= 1.0):
         raise ValueError("need 0 <= lambda < tau <= 1")
-    vals = _values(pvalues)
+    vals = _as_pvalues(pvalues)
     m = vals.size
     if m == 0:
         raise ValueError("cannot run the discarding procedure on an empty vector")

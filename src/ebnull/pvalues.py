@@ -3,7 +3,8 @@
 Every p-value is P(Z >= z), read off a null law's survival function: the
 unit Gaussian's for the textbook p-values, the true marginal null's (known
 only in simulations) for the oracle ones, and a fitted null model's for the
-empirical-Bayes ones.  All three share one container.
+empirical-Bayes ones.  All three share one container, whose checks every
+consumer applies to raw vectors too, through ``_as_pvalues``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,13 @@ class PValueVector:
         object.__setattr__(self, "values", values)
 
 
+def _as_pvalues(p) -> np.ndarray:
+    """The values of a ``PValueVector``, or of one built from ``p``."""
+    if isinstance(p, PValueVector):
+        return p.values
+    return PValueVector(p).values
+
+
 def standard_pvalues(sample) -> PValueVector:
     """One-sided p-values Phi(-z) against the unit Gaussian null."""
     z = _as_values(sample)
@@ -50,6 +58,6 @@ def oracle_pvalues(sample, true_null_sf) -> PValueVector:
 
 def eb_pvalues(sample, model: NullModel) -> PValueVector:
     """P-values P(Z >= z) under the fitted null model, read off its survival
-    function ``model.sf``."""
+    function ``model.sf``, which every null law keeps in [0, 1]."""
     z = _as_values(sample)
-    return PValueVector(values=np.clip(model.sf(z), 0.0, 1.0))
+    return PValueVector(values=model.sf(z))

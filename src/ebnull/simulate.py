@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .distributions import _maybe_scalar, skew_normal_sf
+from .distributions import skew_normal_sf
 from .nullmodel import StatSample, TruncationRule, select_null
 from .procedures import (
     RejectionResult,
@@ -29,7 +29,7 @@ from .procedures import (
     d_storey_bh,
     storey_bh,
 )
-from .pvalues import PValueVector, eb_pvalues, standard_pvalues
+from .pvalues import PValueVector, _as_pvalues, eb_pvalues, standard_pvalues
 
 METHOD_NAMES = ("bh", "stbh", "c-stbh", "d-stbh", "proposed")
 DEFAULT_METHODS = METHOD_NAMES[1:]  # every adaptive procedure, not plain BH
@@ -61,9 +61,8 @@ class TwoPointPrior:
     def marginal_sf(self, z):
         """Survival function of the z-statistic marginal when the mean
         follows this prior."""
-        arr = np.asarray(z, dtype=float)
-        out = self.rho * ndtr(-1.0 - arr) + (1.0 - self.rho) * ndtr(-arr)
-        return _maybe_scalar(out, z)
+        z = np.asarray(z, dtype=float)
+        return self.rho * ndtr(-1.0 - z) + (1.0 - self.rho) * ndtr(-z)
 
 
 @dataclass(frozen=True)
@@ -212,7 +211,8 @@ def run_scenario(
     requested.  An invalid ``xi_quantile`` (for any method set) or
     ``mixture_k`` (when "proposed" is requested) raises ``ValueError``
     before the first replication is drawn.  A replication whose null fit
-    fails on a numeric error is dropped for all methods (keeping the
+    or fitted-null p-values raise ``ValueError`` (``select_null`` raises it
+    when every family fails) is dropped for all methods (keeping the
     per-method averages paired) and counted in the summary.  The procedures
     run outside that guard, so an invalid ``tau``, ``lambda_storey`` or
     ``lambda_discard`` raises ``ValueError``; any other exception propagates.
@@ -235,7 +235,7 @@ def run_scenario(
         if fit_null:
             try:
                 p_eb = eb_pvalues(sample, select_null(sample, rule, k=mixture_k))
-            except (ValueError, ArithmeticError, RuntimeError):
+            except ValueError:
                 failures += 1  # failed reps are tallied, not fatal
                 continue
         results = run_methods(
@@ -284,17 +284,12 @@ def pvalue_histogram(pvalues, bins: int = 50) -> np.ndarray:
 
     Bin j covers (j/bins, (j+1)/bins] for j >= 1 and [0, 1/bins] for j = 0,
     so boundary values land in the lower bin.  Returns the counts only;
-    edges are ``np.linspace(0, 1, bins + 1)``.
+    edges are ``np.linspace(0, 1, bins + 1)``.  Takes a ``PValueVector`` or a
+    raw 1-D array; a value outside [0, 1] raises ``ValueError``.
     """
     if bins < 1:
         raise ValueError("need at least one bin")
-    vals = np.asarray(
-        pvalues.values if hasattr(pvalues, "values") else pvalues, dtype=float
-    )
-    if vals.size == 0:
-        return np.zeros(bins, dtype=np.intp)
-    if vals.min() < 0.0 or vals.max() > 1.0:
-        raise ValueError("p-values must lie in [0, 1]")
+    vals = _as_pvalues(pvalues)
     edges = np.linspace(0.0, 1.0, bins + 1)
     idx = np.clip(np.searchsorted(edges, vals, side="left"), 1, bins) - 1
     return np.bincount(idx, minlength=bins).astype(np.intp)

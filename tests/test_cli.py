@@ -402,6 +402,18 @@ def test_histogram_report(stats_file, capsys):
     assert top_eb < top_std
 
 
+def test_histogram_records_lambda_storey(stats_file, capsys):
+    # pi0_hat depends on lambda, so the report must say which one it used
+    reports = {}
+    for lam in ("0.5", "0.8"):
+        assert main(["histogram", "--input", stats_file, "--lambda-storey", lam]) == 0
+        reports[lam] = json.loads(capsys.readouterr().out)
+    for lam, report in reports.items():
+        assert list(report["config"])[2:4] == ["bins", "lambda_storey"]
+        assert report["config"]["lambda_storey"] == float(lam)
+    assert reports["0.5"]["pi0_hat"] != reports["0.8"]["pi0_hat"]
+
+
 # ---------------------------------------------------------------------------
 # tstats command
 
@@ -479,6 +491,24 @@ def test_tstats_errors(tmp_path, capsys):
                  "--group-b", "y1,y2"]) == 1
     err = json.loads(capsys.readouterr().err)
     assert "nope" in err["error"]
+
+
+@pytest.mark.parametrize("header, group_a, group_b, message", [
+    ("id,a1,a2,b1,b2", "a1,a1", "b1,b2", "column 'a1' is named twice"),
+    ("id,a1,a2,b1,b2", "a1,a2", "b1,b2,b1", "column 'b1' is named twice"),
+    ("id,a1,a2,b1,b2", "a1,a2", "a2,b1", "column 'a2' is named twice"),
+    ("id,a1,a1,b1,b2", "a1", "b1,b2", "column 'a1' matches 2 header cells"),
+], ids=["twice-in-a", "twice-in-b", "in-both", "two-header-cells"])
+def test_tstats_rejects_ambiguous_group_columns(tmp_path, capsys, header, group_a, group_b,
+                                                message):
+    # each reads one column where two were meant; a1,a1 vs b1,b2 used to
+    # exit 0 with t = -3.0 on 1 df, a1's value counted as two observations
+    path = _write(tmp_path / "m.csv", header + "\nr0,1.0,2.0,3.0,5.0\n")
+    assert main(["tstats", "--input", path, "--group-a", group_a,
+                 "--group-b", group_b]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"].startswith(message)
 
 
 _MATRIX_HEAD = "id,x1,x2,y1,y2\n"

@@ -393,7 +393,7 @@ def test_select_null_family_frequencies():
 
 def test_select_null_all_fits_failing():
     # the 0.85 quantile of [0, 10] is 8.5: one point at or below the cut
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ValueError, match="all null-family fits failed"):
         select_null(StatSample(values=[0.0, 10.0]))
 
 
@@ -413,7 +413,7 @@ def test_select_null_drops_nan_loglik():
 def test_select_null_names_overflowing_mixture_columns():
     # statistics near -1e300 overflow every log-density column; the mixture
     # failure must say so rather than surface an internal solver error
-    with pytest.raises(RuntimeError, match="mixture: mixture log-density") as err:
+    with pytest.raises(ValueError, match="mixture: mixture log-density") as err:
         select_null(StatSample(values=[-1e300, -1e300, 5.0]))
     assert "argmax" not in str(err.value)
     # the cut near -3e299 overflows the Gaussian's Mills ratio into a NaN

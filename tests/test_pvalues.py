@@ -6,13 +6,14 @@ import pytest
 from scipy.stats import norm
 
 from ebnull.nullmodel import GaussianNull, MixtureNull, NullModel, StatSample
+from ebnull.procedures import bh, c_storey_bh, d_storey_bh, storey_bh, storey_pi0
 from ebnull.pvalues import (
     PValueVector,
     eb_pvalues,
     oracle_pvalues,
     standard_pvalues,
 )
-from ebnull.simulate import TwoPointPrior
+from ebnull.simulate import TwoPointPrior, pvalue_histogram
 
 
 def test_standard_pvalues_values():
@@ -88,6 +89,28 @@ def test_pvalue_vector_validation():
     with pytest.raises(ValueError):
         PValueVector(values=np.array([[0.1]]))
     assert PValueVector([0.0, 0.25, 1.0]).values.dtype == float
+
+
+@pytest.mark.parametrize("consumer", [
+    lambda p: bh(p, 0.1),
+    lambda p: storey_bh(p, 0.1),
+    lambda p: c_storey_bh(p, 0.1),
+    lambda p: d_storey_bh(p, 0.1),
+    storey_pi0,
+    pvalue_histogram,
+], ids=["bh", "storey_bh", "c_storey_bh", "d_storey_bh", "storey_pi0",
+        "pvalue_histogram"])
+@pytest.mark.parametrize("raw, message", [
+    (np.array([0.2, -0.1]), r"p-values must lie in \[0, 1\]"),
+    (np.array([0.2, 1.5]), r"p-values must lie in \[0, 1\]"),
+    (np.array([[0.2, 0.3]]), "p-values must form a one-dimensional vector"),
+], ids=["negative", "above-one", "two-d"])
+def test_raw_pvalues_get_the_container_checks(consumer, raw, message):
+    # a raw vector is checked as a PValueVector is, by every consumer
+    with pytest.raises(ValueError, match=message):
+        PValueVector(raw)
+    with pytest.raises(ValueError, match=message):
+        consumer(raw)
 
 
 def test_pvalues_stay_in_unit_interval():
