@@ -182,8 +182,11 @@ def _write_output(text: str, output: str | None):
     if output is None:
         sys.stdout.write(text)
     else:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CLIError(f"cannot write {output}: {exc.strerror or exc}")
 
 
 def _json_report(payload: dict, output: str | None):

@@ -11,7 +11,9 @@ truncated subsample:
 
 * a shifted Gaussian N(mu0, 1) with mu0 <= 0 (point-mass prior),
 * a skew-normal arising from a one-sided Gaussian prior spread sigma0,
-* a finite location mixture on a grid of non-positive atoms.
+* a finite location mixture on a grid of non-positive atoms, whose weights
+  solve a concave program by sequential quadratic programming and carry a
+  certificate of optimality (``MixtureNull.converged``).
 
 The family with the largest truncated log-likelihood wins; a richer family
 must lead by more than ``TIE_RTOL * max(1, |loglik|)``, otherwise the tie goes
@@ -25,9 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
-from scipy.optimize import brentq, minimize_scalar
+from scipy.linalg import solve_triangular
+from scipy.optimize import brentq, minimize_scalar, nnls
 
-from .distributions import _LOG_2PI, mills_ratio, skew_normal_cdf, skew_normal_sf
+from .distributions import _LOG_2PI, mills_ratio, skew_normal_sf
 
 # relative margin a richer family's log-likelihood must exceed to win
 TIE_RTOL = 1e-9
@@ -36,12 +39,14 @@ TIE_RTOL = 1e-9
 _ETA_MIN = -6.0
 _ETA_MAX = 3.0
 
-# mixture weight solver: EM warm-start sweeps, the objective change that
-# counts as a stall, the KKT gap that counts as converged, iteration cap
-_MIX_WARM = 25
-_MIX_TOL = 1e-9
-_MIX_TOL_GAP = 1e-7
-_MIX_MAX_ITER = 10000
+# mixture weight solver: the relative KKT gap that counts as converged, the
+# Hessian ridge relative to each diagonal entry, the Armijo sufficient-
+# decrease fraction, the smallest step tried, and the cap on SQP steps
+_MIX_TOL = 1e-10
+_MIX_RIDGE = 1e-10
+_MIX_ARMIJO = 0.01
+_MIX_MIN_STEP = 1e-10
+_MIX_MAX_ITER = 200
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +292,10 @@ def _skew_loglik(eta, z0, xi, n, sum_zz):
         - 0.5 * sum_zz / (omega * omega)
         + float(special.log_ndtr(-sigma0 * z0 / omega).sum())
     )
-    cdf_xi = max(float(skew_normal_cdf(xi, sigma0)), 1e-300)
-    return ll - n * math.log(cdf_xi)
+    # the truncation mass: skew_normal_cdf's expression, evaluated on floats
+    t = xi / omega
+    cdf_xi = min(float(special.ndtr(t) - 2.0 * special.owens_t(t, -sigma0)), 1.0)
+    return ll - n * math.log(max(cdf_xi, 1e-300))
 
 
 def fit_skew_normal(sample, xi: float) -> SkewNormalNull:
@@ -331,124 +338,85 @@ def _mixture_columns(z0, xi, grid):
     L[i, k] = log phi(z_i - mu_k) - log Phi(xi - mu_k).  The shift keeps the
     rows well scaled; log-likelihoods add sum(row_shift) back.
     """
-    diffs = z0[:, None] - grid[None, :]
-    logcols = -0.5 * (_LOG_2PI + diffs * diffs) - special.log_ndtr(xi - grid)[None, :]
+    # built in place: one n-by-k array, where each step of the expression
+    # would allocate another (the CLI's fit has n near 1.7e5)
+    logcols = z0[:, None] - grid[None, :]
+    logcols *= logcols
+    logcols *= -0.5
+    logcols -= 0.5 * _LOG_2PI + special.log_ndtr(xi - grid)
     shift = logcols.max(axis=1)
-    return np.exp(logcols - shift[:, None]), shift
+    logcols -= shift[:, None]
+    return np.exp(logcols, out=logcols), shift
 
 
-def _em_update(A, eta, d):
-    return eta * (A.T @ (1.0 / d)) / A.shape[0]
+def _solve_weights_mixsqp(A):
+    """Sequential quadratic programming for the tilted mixture weights.
 
-
-def _qp_step_simplex(g, H, w0, max_inner=200):
-    """Maximize the quadratic model g'(w - w0) + 0.5 (w - w0)' H (w - w0)
-    over the simplex, by an active-set sweep on the nonnegativity bounds.
-    """
-    k = w0.size
-    w = w0.copy()
-    free = w > 0.0
-    if not free.any():
-        free[int(np.argmax(g))] = True
-    ridge = 1e-10 * (abs(float(np.trace(H))) / k + 1.0)
-    for _ in range(max_inner):
-        idx = np.flatnonzero(free)
-        nf = idx.size
-        kkt = np.empty((nf + 1, nf + 1))
-        kkt[:nf, :nf] = H[np.ix_(idx, idx)] - ridge * np.eye(nf)
-        kkt[:nf, nf] = 1.0
-        kkt[nf, :nf] = 1.0
-        kkt[nf, nf] = 0.0
-        grad_model = g + H @ (w - w0)
-        rhs = np.zeros(nf + 1)
-        rhs[:nf] = -grad_model[idx]
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-        delta = np.zeros(k)
-        delta[idx] = sol[:nf]
-        nu = sol[nf]
-        if np.max(np.abs(delta)) < 1e-14:
-            # optimal on the free set; look for a bound worth releasing
-            mults = grad_model - nu
-            blocked = np.flatnonzero(~free & (mults > 1e-10))
-            if blocked.size == 0:
-                break
-            free[blocked[np.argmax(mults[blocked])]] = True
-            continue
-        shrinking = free & (delta < 0.0)
-        t = 1.0
-        hit = None
-        if shrinking.any():
-            ratios = -w[shrinking] / delta[shrinking]
-            j = int(np.argmin(ratios))
-            if ratios[j] < 1.0:
-                t = float(ratios[j])
-                hit = np.flatnonzero(shrinking)[j]
-        w = np.maximum(w + t * delta, 0.0)
-        if hit is not None:
-            w[hit] = 0.0
-            free[hit] = False
-    total = w.sum()
-    return w / total if total > 0 else w0
-
-
-def _solve_weights_newton(A):
-    """EM warm start, then support-Newton steps with a gap certificate.
-
-    The certificate is the largest directional derivative of adding any
-    atom; it bounds the remaining objective gap, so ``converged`` means
-    provably within ``_MIX_TOL_GAP`` of the global optimum.  Objective-change
-    stalls (three in a row below ``_MIX_TOL``) stop the loop early.
+    Minimizes f(x) = -(1/n) sum_i log (Ax)_i + sum(x) over x >= 0, whose
+    minimizer lies on the simplex and maximizes the log-likelihood there
+    (mixsqp: Kim, Carbonetto, Stephens & Anitescu 2020).  Each step solves
+    the quadratic model with Hessian (A u)'(A u) / n, u = 1 / (Ax), as a
+    non-negative least-squares problem on its Cholesky factor, takes a
+    backtracking Armijo step toward that solution, and rescales x onto the
+    simplex, which never raises f.  The loop stops when the relative KKT
+    gap ``max_k (A'u)_k / n - 1`` falls to ``_MIX_TOL``, when a step makes
+    no progress, or after ``_MIX_MAX_ITER`` steps.  Returns the weights,
+    the log-likelihood sum(log Ax), the step count, the gap in nats (n
+    times the relative gap, a bound on the log-likelihood still to gain)
+    and whether the gap met the tolerance.
     """
     n, K = A.shape
-    eta = np.full(K, 1.0 / K)
-    d = A @ eta
-    for _ in range(_MIX_WARM):
-        eta = _em_update(A, eta, d)
-        d = A @ eta
-    obj = float(np.log(d).sum())
-    iterations = _MIX_WARM
-    stalls = 0
+    x = np.full(K, 1.0 / K)
+    d = A @ x
+    B = np.empty_like(A)  # the rows of A scaled by u, rewritten each step
+    iterations = 0
     while True:
         u = 1.0 / d
-        g_full = A.T @ u
-        gap = float(g_full.max()) - n
-        if gap <= _MIX_TOL_GAP or stalls >= 3 or iterations >= _MIX_MAX_ITER:
+        grad = A.T @ u / n
+        gap = float(grad.max()) - 1.0
+        if gap <= _MIX_TOL or iterations >= _MIX_MAX_ITER:
             break
-        support = np.flatnonzero(eta > 0.0)
-        best_new = int(np.argmax(g_full))
-        if eta[best_new] == 0.0:
-            support = np.sort(np.append(support, best_new))
-        cols = A[:, support]
-        w0 = eta[support]
-        hess = -(cols * (u * u)[:, None]).T @ cols
-        w_star = _qp_step_simplex(g_full[support], hess, w0)
-        direction = w_star - w0
-        move = cols @ direction
+        np.multiply(A, u[:, None], out=B)
+        H = B.T @ B / n
+        # H has rank well below K.  A ridge in proportion to each diagonal
+        # entry makes it positive definite without damping the support's
+        # weak directions, which a ridge on the mean diagonal (set by the
+        # far atoms) slows to linear convergence at n near 1.7e5; the
+        # floor keeps a column that underflows to zero factorable
+        ridge = _MIX_RIDGE * (np.diag(H) + _MIX_RIDGE * np.trace(H) / K)
+        H[np.diag_indices(K)] += ridge
+        R = np.linalg.cholesky(H).T
+        g = 1.0 - grad  # the gradient of f
+        # the model g'p + p'Hp/2 of the step p = y - x, over y >= 0, is
+        # ||Ry - (Rx - R^-T g)||^2 / 2 + const; forming the target from the
+        # small g, not from Hx, keeps its rounding in proportion to the step
+        y = nnls(R, R @ x - solve_triangular(R, g, trans="T"))[0]
+        p = y - x
+        # one Newton refinement of the model on y's support brings p to its
+        # own precision, which the last steps before the certificate need
+        free = y > 0.0
+        p[free] -= np.linalg.solve(H[np.ix_(free, free)], (g + H @ p)[free])
+        p = np.maximum(x + p, 0.0) - x
+        slope = float(g @ p)
+        if not slope < 0.0:
+            break
+        # f(x + step p) - f(x), summed from the relative change of each
+        # (Ax)_i so that the large log terms do not cancel
+        ratio = (A @ p) * u
         step = 1.0
-        new_eta = None
-        for _ in range(40):
-            d_try = d + step * move
-            if d_try.min() > 0.0 and float(np.log(d_try).sum()) > obj:
-                cand = np.zeros(K)
-                cand[support] = np.maximum(w0 + step * direction, 0.0)
-                cand /= cand.sum()
-                d_cand = A @ cand
-                obj_cand = float(np.log(d_cand).sum())
-                if obj_cand > obj:
-                    new_eta, new_d, new_obj = cand, d_cand, obj_cand
+        with np.errstate(divide="ignore"):
+            while (-np.log1p(step * ratio).sum() / n + step * p.sum()
+                   > _MIX_ARMIJO * step * slope):
+                step *= 0.5
+                if step < _MIX_MIN_STEP:
                     break
-            step *= 0.5
-        if new_eta is None:
-            new_eta = _em_update(A, eta, d)
-            new_d = A @ new_eta
-            new_obj = float(np.log(new_d).sum())
+        if step < _MIX_MIN_STEP:
+            break
+        x = x + step * p
+        x /= x.sum()
+        d = A @ x
         iterations += 1
-        stalls = stalls + 1 if abs(new_obj - obj) < _MIX_TOL else 0
-        eta, d, obj = new_eta, new_d, new_obj
-    return eta, obj, iterations, gap, gap <= _MIX_TOL_GAP
+    return x, float(np.log(d).sum()), iterations, gap * n, gap <= _MIX_TOL
 
 
 def fit_mixture(sample, xi: float, k: int = 50) -> MixtureNull:
@@ -459,13 +427,16 @@ def fit_mixture(sample, xi: float, k: int = 50) -> MixtureNull:
     coordinates (a concave program over the simplex); the plain mixing
     weights are recovered by undoing the tilt.
 
-    The weights come from 25 EM (multiplicative) sweeps polished by
-    active-set Newton steps on the support.  ``kkt_gap`` is the largest
-    directional derivative of adding any atom, a bound on the remaining
-    objective gap; ``converged`` means it fell to 1e-7.  The loop also
-    stops after three successive objective changes below 1e-9, or after
-    10000 iterations in all.  Statistics so large in magnitude that the
-    log-density columns overflow raise ``ValueError``.
+    The weights come from sequential quadratic programming (mixsqp) from
+    the uniform start: each step solves a non-negative quadratic model of
+    the log-likelihood and takes a backtracking line-search step toward
+    its solution.  ``kkt_gap`` is the largest directional derivative of
+    adding any atom, in nats: it bounds how far the log-likelihood is
+    below its maximum.  ``converged`` means the gap fell to 1e-10 per
+    truncated statistic, and ``iterations`` counts the steps taken.  The
+    solver also stops, unconverged, when a step makes no progress or after
+    200 steps.  Statistics so large in magnitude that the log-density
+    columns overflow raise ``ValueError``.
     """
     values = _as_values(sample)
     z0 = _truncated(values, xi)
@@ -479,7 +450,7 @@ def fit_mixture(sample, xi: float, k: int = 50) -> MixtureNull:
             "mixture log-density columns are not finite: the statistics are too "
             "large in magnitude for the atom grid"
         )
-    eta, obj, iterations, gap, converged = _solve_weights_newton(A)
+    eta, obj, iterations, gap, converged = _solve_weights_mixsqp(A)
     loglik = obj + float(row_shift.sum())
 
     # undo the truncation tilt: eta_k  propto  p_k * Phi(xi - mu_k)

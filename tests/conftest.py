@@ -1,8 +1,9 @@
-"""Session header: the versions and thread settings a run's results depend on.
+"""Session header: the versions and thread settings a run ran under.
 
-Criterion 1 of the acceptance tests moves with the number of BLAS threads,
-so every test log records the setting it ran under.  The header only reads;
-it sets nothing.
+The fits are meant not to depend on the number of BLAS threads, and
+``test_pipeline_does_not_depend_on_blas_threads`` checks that they do not;
+recording the setting in every test log lets a result that moves anyway be
+traced.  The header only reads; it sets nothing.
 """
 
 import os

@@ -635,6 +635,16 @@ def test_missing_input_file_is_reported(capsys):
     assert "/nonexistent/stats.txt" in err["error"]
 
 
+@pytest.mark.parametrize("command", ["fit-null", "test", "histogram"])
+def test_unwritable_output_is_reported(stats_file, tmp_path, capsys, command):
+    target = str(tmp_path / "missing-dir" / "x.json")
+    assert main([command, "--input", stats_file, "--output", target]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1  # one JSON line, no traceback
+    assert target in json.loads(out.err)["error"]
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])

@@ -10,6 +10,12 @@ The fitted null laws are checked against scipy.stats densities, against
 50-digit mpmath tail probabilities, and by hypothesis properties.
 """
 
+import json
+import os
+import subprocess
+import sys
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -34,6 +40,7 @@ from ebnull.nullmodel import (
     resolve_cut,
     select_null,
 )
+from ebnull.simulate import HalfNormalPrior, SimScenario, generate
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +258,7 @@ def test_fit_mixture_reported_values_consistent(two_point_data):
     z0 = z[z <= xi]
     fit = fit_mixture(z, xi=xi)
     assert fit.converged
-    assert fit.kkt_gap <= 1e-7
+    assert fit.kkt_gap <= 1e-10 * z0.size
     assert fit.loglik == pytest.approx(
         _mixture_loglik_direct(z0, xi, fit.grid, fit.weights_eta), abs=1e-7
     )
@@ -283,12 +290,12 @@ def test_fit_mixture_newton_matches_em():
     rng = np.random.default_rng(23)
     z = np.where(rng.random(400) < 0.5, -1.0, 0.0) + rng.standard_normal(400)
     xi = float(np.quantile(z, 0.85))
-    newton = fit_mixture(z, xi=xi, k=20)
+    fit = fit_mixture(z, xi=xi, k=20)
 
     # plain multiplicative (EM) ascent on the tilted weights, the reference
     z0 = z[z <= xi]
-    cols = norm.pdf(z0[:, None] - newton.grid) / norm.cdf(xi - newton.grid)
-    eta = np.full(newton.grid.size, 1.0 / newton.grid.size)
+    cols = norm.pdf(z0[:, None] - fit.grid) / norm.cdf(xi - fit.grid)
+    eta = np.full(fit.grid.size, 1.0 / fit.grid.size)
     em_loglik = float(np.log(cols @ eta).sum())
     for _ in range(10000):
         eta = eta * (cols.T @ (1.0 / (cols @ eta))) / z0.size
@@ -297,10 +304,63 @@ def test_fit_mixture_newton_matches_em():
             break
     em_gap = float((cols.T @ (1.0 / (cols @ eta))).max()) - z0.size
 
-    assert newton.converged
-    assert newton.loglik >= em_loglik - 1e-6
+    assert fit.converged
+    assert fit.loglik >= em_loglik - 1e-6
     # the gradient gap bounds each solver's distance from the optimum
-    assert newton.loglik - em_loglik <= em_gap + 1e-6
+    assert fit.loglik - em_loglik <= em_gap + 1e-6
+
+
+def test_fit_mixture_converged_is_the_relative_certificate(two_point_data, monkeypatch):
+    """``converged`` holds exactly when the KKT gap, recomputed here from
+    scipy densities, is at most 1e-10 per truncated statistic."""
+    z, xi = two_point_data
+    rng = np.random.default_rng(29)
+    samples = [(z, xi)] + [
+        (v, float(np.quantile(v, 0.85)))
+        for v in (rng.normal(-0.5, 1.0, 2000),
+                  -np.abs(rng.normal(0.0, 1.5, 2000)) + rng.standard_normal(2000))
+    ]
+    for cap in (nm._MIX_MAX_ITER, 1):  # a one-step cap stops short of the optimum
+        monkeypatch.setattr(nm, "_MIX_MAX_ITER", cap)
+        for values, cut in samples:
+            z0 = values[values <= cut]
+            fit = fit_mixture(values, xi=cut)
+            gap = _mixture_gap_direct(z0, cut, fit.grid, fit.weights_eta)
+            assert fit.converged == (gap <= 1e-10 * z0.size)
+            assert fit.converged == (cap > 1)
+            assert fit.kkt_gap == pytest.approx(gap, rel=1e-6, abs=1e-9)
+
+
+@pytest.mark.parametrize("values", [
+    np.abs(np.random.default_rng(41).standard_normal(300)) + 0.1,  # atoms all at 0
+    np.repeat(np.random.default_rng(43).standard_normal(20), 15),  # ties
+    np.array([-1.0, 0.5, 2.0]),  # m = 3
+    np.append(np.random.default_rng(47).standard_normal(500), -1e6),  # one far value
+], ids=["all-positive", "ties", "m=3", "far-outlier"])
+def test_fit_mixture_degenerate_inputs_converge(values):
+    xi = resolve_cut(values)
+    z0 = values[values <= xi]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_mixture(values, xi=xi)
+    assert fit.converged
+    assert np.isfinite(fit.loglik)
+    assert _mixture_gap_direct(z0, xi, fit.grid, fit.weights_eta) <= 1e-10 * z0.size
+
+
+@pytest.mark.parametrize("seed", [7, 201, 202])
+def test_fit_mixture_converges_at_large_n(seed):
+    # 199 000 one-sided-prior statistics and 1000 strong signals near z = 12,
+    # about 1.7e5 of them below the cut: the input of the CLI benchmark
+    bulk = generate(SimScenario(HalfNormalPrior(1.0), m=199_000, pi0=0.9,
+                                alt_mean=3.0, base_seed=seed), 0)
+    strong = generate(SimScenario(HalfNormalPrior(1.0), m=1000, pi0=0.001,
+                                  alt_mean=12.0, base_seed=seed), 1)
+    values = np.concatenate((bulk.values, strong.values))
+    xi = resolve_cut(values)
+    fit = fit_mixture(values, xi=xi)
+    assert fit.converged
+    assert fit.kkt_gap <= 1e-10 * int((values <= xi).sum())
 
 
 def test_fit_mixture_grid_validation():
@@ -447,6 +507,43 @@ def test_select_null_numeric_errors_only(monkeypatch):
     monkeypatch.setattr(nm, "fit_skew_normal", raising(TypeError("bug")))
     with pytest.raises(TypeError):
         select_null(z)
+
+
+_THREAD_RUN = """
+import json
+from ebnull import (SimScenario, TwoPointPrior, eb_pvalues, generate, select_null,
+                    storey_bh)
+scenario = SimScenario(null_prior=TwoPointPrior(0.8), m=5000, pi0=0.9, q=0.1,
+                       n_reps=60, base_seed=0)
+out = []
+for rep in range(scenario.n_reps):
+    sample = generate(scenario, rep)
+    model = select_null(sample)
+    rejected = storey_bh(eb_pvalues(sample, model), q=0.1).rejected
+    out.append([model.family, model.variant.loglik, rejected.tolist()])
+print(json.dumps(out))
+"""
+
+
+def _pipeline_at_blas_threads(threads: str):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nm.__file__)))
+    env.update(dict.fromkeys(
+        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads))
+    done = subprocess.run([sys.executable, "-c", _THREAD_RUN], env=env,
+                          capture_output=True, text=True, timeout=600, check=True)
+    return json.loads(done.stdout)
+
+
+def test_pipeline_does_not_depend_on_blas_threads():
+    """select_null, the fitted-null p-values and Storey-BH give the same
+    family, log-likelihood and rejection set at one and two BLAS threads,
+    on 60 replications of the two-point prior at rho = 0.8."""
+    one, two = (_pipeline_at_blas_threads(t) for t in ("1", "2"))
+    assert len(one) == len(two) == 60
+    for (fam1, ll1, rej1), (fam2, ll2, rej2) in zip(one, two):
+        assert fam1 == fam2
+        assert ll1 == pytest.approx(ll2, rel=1e-9)
+        assert rej1 == rej2
 
 
 # ---------------------------------------------------------------------------
