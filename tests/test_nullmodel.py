@@ -277,6 +277,34 @@ def test_fit_mixture_weight_tilt_round_trip(two_point_data):
     np.testing.assert_allclose(tilted / tilted.sum(), fit.weights_eta, atol=1e-12)
 
 
+def _plain_truncated_loglik(z0, xi, atoms, weights):
+    # the truncated log-likelihood of a mixing law in its plain weights
+    dens = norm.pdf(z0[:, None] - atoms[None, :]) @ weights
+    mass = norm.cdf(xi - atoms) @ weights
+    return float(np.log(dens).sum() - z0.size * np.log(mass))
+
+
+def test_fit_mixture_tail_is_the_profile_bound(two_point_data):
+    # sf reads the fitted law with weight moved onto N(0, 1) until the
+    # truncated log-likelihood has dropped by the tail's budget
+    z, xi = two_point_data
+    z0 = z[z <= xi]
+    fit = fit_mixture(z, xi=xi)
+    assert 0.0 < fit.tail_mass < 1.0
+    assert _plain_truncated_loglik(z0, xi, fit.grid, fit.weights_p) == pytest.approx(
+        fit.loglik, abs=1e-6)
+    atoms = np.append(fit.grid, 0.0)
+    bound = np.append((1.0 - fit.tail_mass) * fit.weights_p, fit.tail_mass)
+    assert _plain_truncated_loglik(z0, xi, atoms, bound) == pytest.approx(
+        fit.loglik - nm._TAIL_DELTA, abs=1e-6)
+    t = np.linspace(-3.0, 8.0, 45)
+    fitted = norm.sf(t[:, None] - fit.grid[None, :]) @ fit.weights_p
+    np.testing.assert_allclose(
+        fit.sf(t), (1.0 - fit.tail_mass) * fitted + fit.tail_mass * norm.sf(t),
+        rtol=1e-12)
+    assert np.all(fit.sf(t) >= fitted)
+
+
 def test_fit_mixture_recovers_atoms(two_point_data):
     z, xi = two_point_data
     fit = fit_mixture(z, xi=xi)
@@ -346,6 +374,20 @@ def test_fit_mixture_degenerate_inputs_converge(values):
     assert fit.converged
     assert np.isfinite(fit.loglik)
     assert _mixture_gap_direct(z0, xi, fit.grid, fit.weights_eta) <= 1e-10 * z0.size
+
+
+def test_far_negative_cut_untilts_in_logs():
+    # every mean at -40 puts the cut so far below 0 that Phi(xi - mu)
+    # underflows to 0 at every atom, so the tilt is undone in logs; the
+    # mixture wins, and its p-values must not collapse to 0
+    values = np.random.default_rng(0).standard_normal(500) - 40.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = select_null(values)
+        p = model.sf(values)
+    assert model.family == "mixture"
+    np.testing.assert_allclose(model.variant.weights_p.sum(), 1.0, atol=1e-12)
+    assert np.all(p >= 0.5)
 
 
 @pytest.mark.parametrize("seed", [7, 201, 202])
@@ -609,7 +651,8 @@ def test_null_law_dispatch_and_types():
     report_keys = {
         "gaussian": ["mu0", "iterations", "converged"],
         "skew_normal": ["sigma0", "eta", "at_boundary"],
-        "mixture": ["grid", "weights", "iterations", "converged", "kkt_gap"],
+        "mixture": ["grid", "weights", "iterations", "converged", "kkt_gap",
+                    "tail_mass"],
     }
     for variant in _example_models():
         wrapped = _wrap(variant)
