@@ -11,12 +11,9 @@ truncated subsample:
 
 * a shifted Gaussian N(mu0, 1) with mu0 <= 0 (point-mass prior),
 * a skew-normal arising from a one-sided Gaussian prior spread sigma0,
-* a finite location mixture on a grid of non-positive atoms, whose weights
-  solve a concave program by sequential quadratic programming and carry a
-  certificate of optimality (``MixtureNull.converged``).  Its tail is read
-  at a profile-likelihood upper bound, because the fitted weights, pushed
-  off the atom at 0 by the constraint mu <= 0, make the maximum-likelihood
-  tail optimistic where the discoveries are.
+* a finite location mixture on a grid of non-positive atoms, fitted with a
+  certificate of optimality (``MixtureNull.converged``) and read at a
+  profile-likelihood upper bound on its tail (``fit_mixture``).
 
 The family with the largest truncated log-likelihood wins; a richer family
 must lead by more than ``TIE_RTOL * max(1, |loglik|)``, otherwise the tie goes
@@ -51,11 +48,10 @@ _MIX_ARMIJO = 0.01
 _MIX_MIN_STEP = 1e-10
 _MIX_MAX_ITER = 200
 
-# the log-likelihood, in nats, that the mixture's conservative tail may give
-# up.  Of 0.125, 0.25 and 0.5 it is the smallest that kept Storey-BH's FDR
-# at or below q = 0.1 over 1000 simulated draws, with 80% of the null means
-# at -1 and 20% at 0 (0.1009, 0.0990 and 0.0963, each +- 0.0007)
-_TAIL_DELTA = 0.25
+# the log-likelihood, in nats, the mixture's tail bound gives up: half the
+# median of chi-square(1), so the bound is the upper end of a 50% profile-
+# likelihood interval for the weight moved onto the atom at 0
+_TAIL_DELTA = 0.5 * special.ndtri(0.75) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +182,8 @@ class MixtureNull:
     ``weights_p`` are the maximum-likelihood mixing weights and
     ``weights_eta`` the truncation-tilted weights the concave program
     optimizes over (each atom's weight times its chance of landing below
-    the cut, renormalized).  The law that ``sf`` reads puts ``tail_mass``
-    on N(0, 1) and ``1 - tail_mass`` on the fitted mixture.
+    the cut, renormalized).  The law ``sf`` reads is ``1 - tail_mass``
+    times ``weights_p`` plus ``tail_mass`` on the grid's last atom, 0.
     """
 
     grid: np.ndarray
@@ -197,22 +193,18 @@ class MixtureNull:
     iterations: int
     converged: bool
     kkt_gap: float
-    tail_mass: float = 0.0
+    tail_mass: float
 
     family = "mixture"
 
-    def _support(self):
-        """The atoms that carry weight, and their weights; the rest add 0."""
-        grid = np.append(self.grid, 0.0)
-        weights = np.append((1.0 - self.tail_mass) * self.weights_p, self.tail_mass)
-        keep = weights > 0
-        return grid[keep], weights[keep]
-
-    # the weights sum to 1 only up to rounding, hence the clip
+    # atoms without weight add 0, and the weights sum to 1 only up to
+    # rounding, hence the clip
     def sf(self, z):
-        grid, weights = self._support()
-        t = grid - np.asarray(z, dtype=float)[..., None]
-        return np.clip(special.ndtr(t) @ weights, 0.0, 1.0)
+        weights = (1.0 - self.tail_mass) * self.weights_p
+        weights[-1] += self.tail_mass
+        keep = weights > 0
+        t = self.grid[keep] - np.asarray(z, dtype=float)[..., None]
+        return np.clip(special.ndtr(t) @ weights[keep], 0.0, 1.0)
 
     def report_params(self) -> dict:
         return {"grid": self.grid, "weights": self.weights_p,
@@ -432,32 +424,6 @@ def _solve_weights_mixsqp(A):
     return x, float(np.log(d).sum()), iterations, gap * n, gap <= _MIX_TOL
 
 
-def _tail_mass(A, x, log_below):
-    """The mass the conservative tail puts on N(0, 1), in untilted weights.
-
-    The atom at 0 (the last column of ``A``) has the heaviest tail of every
-    atom, so moving tilted weight toward it, x(eps) = (1 - eps) x + eps e_K,
-    raises ``sf`` at every z.  ``eps`` is the largest move whose
-    log-likelihood lies within ``_TAIL_DELTA`` of the fit's: the root of a
-    concave function of eps, summed through log1p terms.  ``log_below``
-    holds log Phi(xi - mu_k), each atom's chance of landing below the cut,
-    which undoes the tilt.
-    """
-    r = A[:, -1] / (A @ x) - 1.0
-
-    def spare(eps):  # log-likelihood still to give up at eps
-        with np.errstate(divide="ignore"):
-            return np.log1p(eps * r).sum() + _TAIL_DELTA
-
-    eps = 1.0 if spare(1.0) >= 0.0 else brentq(spare, 0.0, 1.0)
-    # untilted, the atom at 0 gains eps / Phi(xi) against (1 - eps) times
-    # sum_k x_k / Phi(xi - mu_k); in logs, as in fit_mixture
-    with np.errstate(divide="ignore"):
-        lead = np.log(eps) - log_below[-1]
-        rest = np.log1p(-eps) + special.logsumexp(np.log(x) - log_below)
-    return float(special.expit(lead - rest))
-
-
 def fit_mixture(sample, xi: float, k: int = 50) -> MixtureNull:
     """Fit mixture weights on a fixed grid of non-positive atoms.
 
@@ -477,16 +443,11 @@ def fit_mixture(sample, xi: float, k: int = 50) -> MixtureNull:
     200 steps.  Statistics so large in magnitude that the log-density
     columns overflow raise ``ValueError``.
 
-    ``sf`` reads a profile-likelihood upper bound on the tail rather than
-    the fitted law: weight moves toward the atom at 0 for as long as the
-    log-likelihood stays within 0.25 nats of its maximum, and ``tail_mass``
-    is the share of N(0, 1) in the result.  The constraint mu <= 0 lets
-    estimation noise push weight off the atom at 0 but never above it, so
-    the fitted tail is optimistic on average: with 80% of the null means
-    at -1 and 20% at 0 (m = 5000, 200 draws), the fitted ``sf`` averaged
-    4.5% under the truth at z = 2 and 8% at z = 3, the bound 1.2% over it
-    and 1.5% under.  ``loglik`` and the weights stay the maximum-likelihood
-    ones, so family selection is unchanged.
+    ``sf`` reads a profile-likelihood upper bound on the tail, with weight
+    moved onto the atom at 0 until the log-likelihood has dropped by
+    ``_TAIL_DELTA`` (0.23 nats): the constraint mu <= 0 makes the maximum-
+    likelihood tail optimistic where the discoveries are.  ``tail_mass`` is
+    the share moved; ``loglik`` and the weights stay maximum-likelihood.
     """
     values = _as_values(sample)
     z0 = _truncated(values, xi)
@@ -503,11 +464,23 @@ def fit_mixture(sample, xi: float, k: int = 50) -> MixtureNull:
     eta, obj, iterations, gap, converged = _solve_weights_mixsqp(A)
     loglik = obj + float(row_shift.sum())
 
-    # undo the truncation tilt: eta_k  propto  p_k * Phi(xi - mu_k), in logs,
-    # since Phi underflows to 0 at every atom when the cut lies far below 0
+    # the tail bound moves tilted weight toward the atom at 0, the last and
+    # heaviest-tailed, to (1 - eps) eta + eps e_K, where the log-likelihood
+    # has dropped by _TAIL_DELTA; summed in log1p terms, it is concave in eps
+    r = A[:, -1] / (A @ eta) - 1.0
+
+    def spare(eps):
+        return np.log1p(eps * r).sum() + _TAIL_DELTA
+
+    # undo the truncation tilt, eta_k  propto  p_k * Phi(xi - mu_k), in logs,
+    # since Phi underflows to 0 at every atom when the cut lies far below 0;
+    # the bound puts eps / Phi(xi) at 0 against (1 - eps) sum_k exp(log_p_k)
     log_below = special.log_ndtr(xi - grid)
     with np.errstate(divide="ignore"):
+        eps = 1.0 if spare(1.0) >= 0.0 else brentq(spare, 0.0, 1.0)
         log_p = np.log(eta) - log_below
+        tail_mass = special.expit(np.log(eps) - log_below[-1] - np.log1p(-eps)
+                                  - special.logsumexp(log_p))
     weights_p = np.exp(log_p - log_p.max())
     weights_p /= weights_p.sum()
     return MixtureNull(
@@ -518,7 +491,7 @@ def fit_mixture(sample, xi: float, k: int = 50) -> MixtureNull:
         iterations=iterations,
         converged=converged,
         kkt_gap=float(gap),
-        tail_mass=_tail_mass(A, eta, log_below),
+        tail_mass=float(tail_mass),
     )
 
 

@@ -290,7 +290,7 @@ def test_fit_mixture_tail_is_the_profile_bound(two_point_data):
     z, xi = two_point_data
     z0 = z[z <= xi]
     fit = fit_mixture(z, xi=xi)
-    assert 0.0 < fit.tail_mass < 1.0
+    assert fit.grid[-1] == 0.0 and 0.0 < fit.tail_mass < 1.0
     assert _plain_truncated_loglik(z0, xi, fit.grid, fit.weights_p) == pytest.approx(
         fit.loglik, abs=1e-6)
     atoms = np.append(fit.grid, 0.0)
@@ -441,7 +441,7 @@ def test_select_null_prefers_simpler_on_tie(monkeypatch):
         monkeypatch.setattr(nm, "fit_mixture", lambda values, xi, k: MixtureNull(
             grid=np.array([-1.0, 0.0]), weights_p=np.array([0.0, 1.0]),
             weights_eta=np.array([0.0, 1.0]), loglik=mix, iterations=1,
-            converged=True, kkt_gap=0.0))
+            converged=True, kkt_gap=0.0, tail_mass=0.0))
         model = select_null(StatSample(values=np.linspace(-2.0, 2.0, 40)))
         # a non-finite log-likelihood is a failed fit, reported as None
         expected = {"gaussian": gauss, "skew_normal": skew, "mixture": mix}
@@ -601,6 +601,7 @@ def _example_models():
             weights_p=np.array([0.2, 0.3, 0.5]),
             weights_eta=np.array([0.25, 0.35, 0.4]),
             loglik=0.0, iterations=1, converged=True, kkt_gap=0.0,
+            tail_mass=0.0,
         ),
     ]
 
@@ -703,7 +704,8 @@ def _null_laws(draw):
                         min_size=len(atoms), max_size=len(atoms)))
     weights = np.asarray(raw) / np.sum(raw)
     return MixtureNull(grid=np.sort(atoms), weights_p=weights, weights_eta=weights,
-                       loglik=0.0, iterations=1, converged=True, kkt_gap=0.0)
+                       loglik=0.0, iterations=1, converged=True, kkt_gap=0.0,
+                       tail_mass=0.0)
 
 
 @settings(max_examples=200, deadline=None)

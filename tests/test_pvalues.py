@@ -72,7 +72,8 @@ def test_eb_pvalues_stay_positive_in_the_right_tail():
     gauss = GaussianNull(mu0=-0.8, loglik=0.0, iterations=1, converged=True)
     mix = MixtureNull(grid=np.array([-2.0, 0.0]), weights_p=np.array([0.4, 0.6]),
                       weights_eta=np.array([0.5, 0.5]), loglik=0.0,
-                      iterations=1, converged=True, kkt_gap=0.0)
+                      iterations=1, converged=True, kkt_gap=0.0,
+                      tail_mass=0.0)
     s = StatSample(values=[20.0])
     for variant, expected in ((gauss, norm.sf(20.8)),
                               (mix, 0.4 * norm.sf(22.0) + 0.6 * norm.sf(20.0))):
