@@ -146,6 +146,10 @@ def ingest_statistics(path: str) -> StatSample:
             f"line {first[0]}: expected a number or a CSV header with a "
             "'statistic' column"
         )
+    for name in ("statistic", "id"):
+        if header.count(name) > 1:
+            raise CLIError(f"line {first[0]}: column {name!r} matches "
+                           f"{header.count(name)} header cells")
     stat_col = header.index("statistic")
     id_col = header.index("id") if "id" in header else None
 
@@ -193,20 +197,14 @@ def _json_report(payload: dict, output: str | None):
     _write_output(json.dumps(payload, indent=2, default=_json_default) + "\n", output)
 
 
-def _json_floats(values: np.ndarray) -> list[str]:
-    """Each float as ``json.dumps`` writes it: its repr, or NaN/Infinity."""
-    out = list(map(float.__repr__, values.tolist()))
-    for i in np.flatnonzero(~np.isfinite(values)).tolist():
-        out[i] = json.dumps(float(values[i]))
-    return out
-
-
 def _records_json(ids, statistic, p_std, p_eb, masks: dict) -> str:
     """The ``records`` list of the test report, written column by column.
 
     The text is what ``json.dumps(..., indent=2)`` gives for the list of
     per-record dicts (``id``, ``statistic``, ``p_std``, ``p_eb`` and one
     ``rejected`` flag per method), nested one level inside the report.
+    Statistics are finite and p-values lie in [0, 1], so each float's repr
+    is the text ``json.dumps`` writes for it.
     """
     flags = ",\n".join(f"        {_json_string(method)}: %s" for method in masks)
     template = (
@@ -222,9 +220,7 @@ def _records_json(ids, statistic, p_std, p_eb, masks: dict) -> str:
     )
     columns = (
         map(_json_string, ids),
-        _json_floats(statistic),
-        _json_floats(p_std),
-        _json_floats(p_eb),
+        *(map(float.__repr__, column.tolist()) for column in (statistic, p_std, p_eb)),
         *([_JSON_BOOLS[flag] for flag in mask.tolist()] for mask in masks.values()),
     )
     return "[\n" + ",\n".join(map(template.__mod__, zip(*columns))) + "\n  ]"
@@ -413,10 +409,12 @@ def cmd_histogram(args) -> int:
         "version": __version__,
     }
     pi0_raw = storey_pi0(p_eb, args.lambda_storey)
+    # the counts check the bin count before linspace sees it
+    p_std_counts = pvalue_histogram(p_std, args.bins)
     report = {
         "config": config,
         "edges": np.linspace(0.0, 1.0, args.bins + 1),
-        "p_std_counts": pvalue_histogram(p_std, args.bins),
+        "p_std_counts": p_std_counts,
         "p_eb_counts": pvalue_histogram(p_eb, args.bins),
         "family": model.family,
         "xi": model.cut_xi,

@@ -525,17 +525,18 @@ def select_null(sample, rule: TruncationRule | None = None, k: int = 50) -> Null
     """
     if k < 2:
         raise ValueError("need at least 2 grid atoms")
-    values = _as_values(sample)
-    xi = resolve_cut(values, rule)
-    n_truncated = int((values <= xi).sum())
+    if not isinstance(sample, StatSample):  # validated once, not once per fit
+        sample = StatSample(np.asarray(sample, dtype=float))
+    xi = resolve_cut(sample, rule)
+    n_truncated = int((sample.values <= xi).sum())
 
     best = None
     logliks: dict[str, float | None] = {}
     errors: dict[str, str] = {}
     for name, fitter in (
-        (GaussianNull.family, lambda: fit_gaussian(values, xi)),
-        (SkewNormalNull.family, lambda: fit_skew_normal(values, xi)),
-        (MixtureNull.family, lambda: fit_mixture(values, xi, k=k)),
+        (GaussianNull.family, lambda: fit_gaussian(sample, xi)),
+        (SkewNormalNull.family, lambda: fit_skew_normal(sample, xi)),
+        (MixtureNull.family, lambda: fit_mixture(sample, xi, k=k)),
     ):
         try:
             with np.errstate(over="ignore", invalid="ignore"):

@@ -64,31 +64,31 @@ def _check_q(q: float):
         raise ValueError("target FDR level q must lie in (0, 1)")
 
 
-def _step_up(vals: np.ndarray, q: float, pi0: float, m: int) -> float:
-    """Largest p whose estimated FDP m * pi0 * p / k is at most q, with k its
-    1-based position in sorted order, or 0.0 when none passes.
+def _step_up(vals: np.ndarray, q: float, pi0: float, procedure: str,
+             scan: np.ndarray | None = None) -> RejectionResult:
+    """Reject every p at or below the largest candidate (of ``scan``, all of
+    ``vals`` by default) whose estimated FDP m * pi0 * p / k is at most q,
+    with m = ``vals.size`` and k the candidate's 1-based position in sorted
+    order; the threshold is 0.0 when none passes.
 
     At the last position of a tie k equals #{p <= s}, so this is the
     largest passing candidate s of the count-based definition.  An exact
     zero always passes, so rejecting ``vals <= 0.0`` after a 0.0 result
     rejects nothing.
     """
-    ordered = np.sort(vals)
+    m = vals.size
+    ordered = np.sort(vals if scan is None else scan)
     fdp_hat = m * pi0 * ordered / np.arange(1, ordered.size + 1)
     passing = np.flatnonzero(fdp_hat <= q)
-    return float(ordered[passing[-1]]) if passing.size else 0.0
+    thr = float(ordered[passing[-1]]) if passing.size else 0.0
+    return RejectionResult(rejected=np.flatnonzero(vals <= thr), threshold=thr,
+                           pi0_hat=pi0, procedure=procedure, q=q, m=m)
 
 
 def bh(pvalues, q: float) -> RejectionResult:
     """Benjamini-Hochberg step-up at level q."""
     _check_q(q)
-    vals = _as_pvalues(pvalues)
-    m = vals.size
-    thr = _step_up(vals, q, 1.0, m)
-    rejected = np.flatnonzero(vals <= thr)
-    return RejectionResult(
-        rejected=rejected, threshold=thr, pi0_hat=1.0, procedure="bh", q=q, m=m
-    )
+    return _step_up(_as_pvalues(pvalues), q, 1.0, "bh")
 
 
 def storey_pi0(pvalues, lam: float = 0.5) -> float:
@@ -109,13 +109,8 @@ def storey_bh(pvalues, q: float, lam: float = 0.5) -> RejectionResult:
     """Adaptive BH with Storey's estimate clipped into [1/m, 1]."""
     _check_q(q)
     vals = _as_pvalues(pvalues)
-    m = vals.size
-    pi0 = min(max(storey_pi0(pvalues, lam), 1.0 / m), 1.0)
-    thr = _step_up(vals, q, pi0, m)
-    rejected = np.flatnonzero(vals <= thr)
-    return RejectionResult(
-        rejected=rejected, threshold=thr, pi0_hat=pi0, procedure="stbh", q=q, m=m
-    )
+    pi0 = min(max(storey_pi0(pvalues, lam), 1.0 / vals.size), 1.0)
+    return _step_up(vals, q, pi0, "stbh")
 
 
 def c_storey_bh(
@@ -163,11 +158,7 @@ def d_storey_bh(
     if m == 0:
         raise ValueError("cannot run the discarding procedure on an empty vector")
     pi0 = float((1.0 + ((vals > lam) & (vals <= tau)).sum()) / (m * (tau - lam)))
-    thr = _step_up(vals[vals <= tau], q, pi0, m)
-    rejected = np.flatnonzero(vals <= thr)
-    return RejectionResult(
-        rejected=rejected, threshold=thr, pi0_hat=pi0, procedure="d-stbh", q=q, m=m
-    )
+    return _step_up(vals, q, pi0, "d-stbh", scan=vals[vals <= tau])
 
 
 def compute_metrics(result: RejectionResult, truth) -> ErrorMetrics:
@@ -181,12 +172,9 @@ def compute_metrics(result: RejectionResult, truth) -> ErrorMetrics:
         raise ValueError(
             f"truth labels have length {labels.size}, expected {result.m}"
         )
-    mask = result.mask()
-    n_rejected = int(mask.sum())
-    false_rej = int((mask & ~labels).sum())
-    true_rej = int((mask & labels).sum())
-    n_alt = int(labels.sum())
+    n_rejected = result.n_rejected
+    true_rej = int(labels[result.rejected].sum())
     return ErrorMetrics(
-        fdp=false_rej / max(n_rejected, 1),
-        tpp=true_rej / max(n_alt, 1),
+        fdp=(n_rejected - true_rej) / max(n_rejected, 1),
+        tpp=true_rej / max(int(labels.sum()), 1),
     )

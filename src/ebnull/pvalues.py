@@ -27,7 +27,8 @@ class PValueVector:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1:
             raise ValueError("p-values must form a one-dimensional vector")
-        if values.size and (values.min() < 0.0 or values.max() > 1.0):
+        # NaN fails both comparisons, so it is refused with the out-of-range values
+        if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
             raise ValueError("p-values must lie in [0, 1]")
         object.__setattr__(self, "values", values)
 

@@ -196,6 +196,16 @@ def run_methods(
     return out
 
 
+def _mean_se(values: list) -> tuple[float, float]:
+    """Mean of per-replication values and its Monte Carlo standard error:
+    NaN for both from no values, and an error of 0.0 from one."""
+    if not values:
+        return math.nan, math.nan
+    x = np.asarray(values)
+    se = x.std(ddof=1) / math.sqrt(x.size) if x.size > 1 else 0.0
+    return float(x.mean()), float(se)
+
+
 def run_scenario(
     scenario: SimScenario,
     methods=DEFAULT_METHODS,
@@ -252,25 +262,14 @@ def run_scenario(
             rows[method][0].append(metrics.fdp)
             rows[method][1].append(metrics.tpp)
 
-    n_used = scenario.n_reps - failures
-    summaries = {}
-    for method in methods:
-        fdps = np.asarray(rows[method][0])
-        tpps = np.asarray(rows[method][1])
-        if n_used == 0:
-            summaries[method] = MethodSummary(math.nan, math.nan, math.nan, math.nan)
-            continue
-        scale = math.sqrt(n_used) if n_used > 1 else 1.0
-        summaries[method] = MethodSummary(
-            fdr=float(fdps.mean()),
-            fdr_se=float(fdps.std(ddof=1) / scale) if n_used > 1 else 0.0,
-            tpr=float(tpps.mean()),
-            tpr_se=float(tpps.std(ddof=1) / scale) if n_used > 1 else 0.0,
-        )
+    summaries = {
+        method: MethodSummary(*_mean_se(fdps), *_mean_se(tpps))
+        for method, (fdps, tpps) in rows.items()
+    }
     return SimSummary(
         scenario=scenario,
         methods=summaries,
-        n_reps_used=n_used,
+        n_reps_used=scenario.n_reps - failures,
         n_failures=failures,
     )
 

@@ -98,6 +98,11 @@ def test_ingest_error_messages_keep_line_numbers(tmp_path):
             == "line 5: statistic must be finite, got 'inf'")
     assert (_ingest_error(tmp_path, "1.0\n# c\nx1\n")
             == "line 3: cannot parse statistic from 'x1'")
+    # a column named twice would be read from its first cell without a sign
+    assert (_ingest_error(tmp_path, "# c\nid,statistic,statistic\ng1,0.5,1.5\n")
+            == "line 2: column 'statistic' matches 2 header cells")
+    assert (_ingest_error(tmp_path, "id,statistic,id\ng1,0.5,h1\n")
+            == "line 1: column 'id' matches 2 header cells")
     path = _write(tmp_path / "head.csv", "# only a header\nid,statistic\n\n")
     with pytest.raises(CLIError) as excinfo:
         ingest_statistics(path)
@@ -298,8 +303,8 @@ def test_test_report_bytes_match_per_record_writer(awkward_ids_file, tmp_path,
     assert capsys.readouterr().out == written
 
 
-def test_test_report_writes_non_finite_as_json_does(awkward_ids_file, tmp_path,
-                                                    monkeypatch):
+def test_test_refuses_a_nan_pvalue(awkward_ids_file, tmp_path, capsys, monkeypatch):
+    # NaN is not a p-value: the container refuses it before any report is built
     eb_pvalues = cli.eb_pvalues
 
     def with_nan(sample, model):
@@ -310,10 +315,12 @@ def test_test_report_writes_non_finite_as_json_does(awkward_ids_file, tmp_path,
     monkeypatch.setattr(cli, "eb_pvalues", with_nan)
     out = tmp_path / "report.json"
     assert main(["test", "--input", awkward_ids_file, "--method", "bh",
-                 "--output", str(out)]) == 0
-    written = out.read_text(encoding="utf-8")
-    assert written == _per_record_report(awkward_ids_file, ("bh",), written)
-    assert '"p_eb": NaN,' in written
+                 "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert json.loads(captured.err) == {"error": "p-values must lie in [0, 1]"}
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +407,12 @@ def test_histogram_report(stats_file, capsys):
     top_std = sum(report["p_std_counts"][-5:])
     top_eb = sum(report["p_eb_counts"][-5:])
     assert top_eb < top_std
+    # the bin count is checked before np.linspace would refuse -2 in its own words
+    for bins in ("0", "-1", "-2"):
+        assert main(["histogram", "--input", stats_file, "--bins", bins]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "need at least one bin"}
 
 
 def test_histogram_records_lambda_storey(stats_file, capsys):

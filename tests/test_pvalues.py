@@ -1,11 +1,15 @@
 """P-value construction from statistics and fitted null laws."""
 
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
-from ebnull.nullmodel import GaussianNull, MixtureNull, NullModel, StatSample
+from ebnull.nullmodel import GaussianNull, MixtureNull, NullModel, StatSample, select_null
 from ebnull.procedures import bh, c_storey_bh, d_storey_bh, storey_bh, storey_pi0
 from ebnull.pvalues import (
     PValueVector,
@@ -89,6 +93,10 @@ def test_pvalue_vector_validation():
         PValueVector(values=np.array([-0.01]))
     with pytest.raises(ValueError):
         PValueVector(values=np.array([[0.1]]))
+    # NaN fails every comparison, so a range test written as "min < 0 or
+    # max > 1" would let it through
+    with pytest.raises(ValueError, match=r"p-values must lie in \[0, 1\]"):
+        PValueVector(values=np.array([0.001, np.nan, 0.5, 0.002]))
     assert PValueVector([0.0, 0.25, 1.0]).values.dtype == float
 
 
@@ -104,8 +112,9 @@ def test_pvalue_vector_validation():
 @pytest.mark.parametrize("raw, message", [
     (np.array([0.2, -0.1]), r"p-values must lie in \[0, 1\]"),
     (np.array([0.2, 1.5]), r"p-values must lie in \[0, 1\]"),
+    (np.array([0.2, np.nan]), r"p-values must lie in \[0, 1\]"),
     (np.array([[0.2, 0.3]]), "p-values must form a one-dimensional vector"),
-], ids=["negative", "above-one", "two-d"])
+], ids=["negative", "above-one", "nan", "two-d"])
 def test_raw_pvalues_get_the_container_checks(consumer, raw, message):
     # a raw vector is checked as a PValueVector is, by every consumer
     with pytest.raises(ValueError, match=message):
@@ -122,3 +131,36 @@ def test_pvalues_stay_in_unit_interval():
     for p in (standard_pvalues(s), eb_pvalues(s, model)):
         assert np.all(p.values >= 0.0)
         assert np.all(p.values <= 1.0)
+
+
+# small samples of every awkward shape: huge |z|, ties, constant vectors and
+# samples with nothing below zero
+_huge = st.floats(min_value=-1e300, max_value=1e300)
+_tied = st.sampled_from([-1e300, -2.0, -1.0, 0.0, 1.0, 3.0, 1e300])
+_samples = st.one_of(
+    st.lists(st.one_of(_huge, st.floats(min_value=-10.0, max_value=10.0), _tied),
+             min_size=2, max_size=10),
+    st.lists(_tied, min_size=2, max_size=10),
+    st.builds(lambda z, m: [z] * m, st.one_of(_huge, _tied), st.integers(2, 10)),
+    st.lists(st.floats(min_value=0.0, max_value=1e300), min_size=2, max_size=10),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(z=_samples)
+def test_fitted_pvalues_feed_every_procedure(z):
+    # from a sample to the four step-ups: a ValueError from the fit, or
+    # p-values in [0, 1] and sorted, in-range rejections; nothing else is
+    # raised and no warning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            model = select_null(z)
+        except ValueError:
+            return
+        p = eb_pvalues(z, model)
+        assert np.all((p.values >= 0.0) & (p.values <= 1.0))
+        for procedure in (bh, storey_bh, c_storey_bh, d_storey_bh):
+            rejected = procedure(p, 0.1).rejected
+            assert np.all(np.diff(rejected) > 0)
+            assert np.all((rejected >= 0) & (rejected < len(z)))
