@@ -38,6 +38,7 @@ from .simulate import (
     HalfNormalPrior,
     SimScenario,
     TwoPointPrior,
+    check_methods,
     pvalue_histogram,
     run_methods,
     run_scenario,
@@ -226,6 +227,16 @@ def _records_json(ids, statistic, p_std, p_eb, masks: dict) -> str:
     return "[\n" + ",\n".join(map(template.__mod__, zip(*columns))) + "\n  ]"
 
 
+def _config(args, *names, **resolved) -> dict:
+    """The report's config block: the command, each named setting in order
+    (its ``resolved`` value where given, else the parsed flag), the version."""
+    config = {"command": args.subcommand}
+    for name in names:
+        config[name] = resolved[name] if name in resolved else getattr(args, name)
+    config["version"] = __version__
+    return config
+
+
 def _fit_block(model: NullModel) -> dict:
     return {
         "family": model.family,
@@ -240,19 +251,19 @@ def _fit_block(model: NullModel) -> dict:
 # subcommands
 
 
-def cmd_fit_null(args) -> int:
-    sample = ingest_statistics(args.input)
+def _fit(args) -> tuple[StatSample, NullModel]:
+    """The input's statistics and their fitted null.  The truncation rule
+    checks ``--xi-quantile`` before the file is read; ``select_null``
+    checks ``--k`` after it is read but before any fit."""
     rule = TruncationRule(quantile_level=args.xi_quantile)
-    model = select_null(sample, rule, k=args.k)
-    config = {
-        "command": "fit-null",
-        "input": args.input,
-        "xi_quantile": args.xi_quantile,
-        "k": args.k,
-        "version": __version__,
-    }
+    sample = ingest_statistics(args.input)
+    return sample, select_null(sample, rule, k=args.k)
+
+
+def cmd_fit_null(args) -> int:
+    _, model = _fit(args)
     report = _fit_block(model)
-    report["config"] = config
+    report["config"] = _config(args, "input", "xi_quantile", "k")
     _json_report(report, args.output)
     return 0
 
@@ -268,39 +279,20 @@ def cmd_test(args) -> int:
     The text is what ``json.dumps(..., indent=2)`` gives for a report with
     one record dict per statistic, but the records are written from
     columns (``_records_json``) and spliced in after the config, fit and
-    methods blocks.  Input parse errors name their 1-based line number.
+    methods blocks.  The procedures' settings are checked before the input
+    is read; input parse errors name their 1-based line number.
     """
-    sample = ingest_statistics(args.input)
     methods = _resolve_methods(args)
-    model = select_null(
-        sample, TruncationRule(quantile_level=args.xi_quantile), k=args.k
-    )
+    settings = (args.q, args.tau, args.lambda_storey, args.lambda_discard)
+    check_methods(methods, *settings)
+    sample, model = _fit(args)
     p_std = standard_pvalues(sample)
     p_eb = eb_pvalues(sample, model)
-    results = run_methods(
-        methods,
-        p_std,
-        p_eb,
-        q=args.q,
-        tau=args.tau,
-        lambda_storey=args.lambda_storey,
-        lambda_discard=args.lambda_discard,
-    )
+    results = run_methods(methods, p_std, p_eb, *settings)
 
-    config = {
-        "command": "test",
-        "input": args.input,
-        "q": args.q,
-        "methods": list(methods),
-        "tau": args.tau,
-        "lambda_storey": args.lambda_storey,
-        "lambda_discard": args.lambda_discard,
-        "xi_quantile": args.xi_quantile,
-        "k": args.k,
-        "version": __version__,
-    }
     report = {
-        "config": config,
+        "config": _config(args, "input", "q", "methods", "tau", "lambda_storey",
+                          "lambda_discard", "xi_quantile", "k", methods=list(methods)),
         "fit": _fit_block(model),
         "methods": {
             method: {
@@ -350,21 +342,10 @@ def cmd_simulate(args) -> int:
     priors = [TwoPointPrior(rho) for rho in rho_grid]
     priors += [HalfNormalPrior(s) for s in sigma0_grid]
 
-    config = {
-        "command": "simulate",
-        "methods": list(methods),
-        "q": args.q,
-        "n_reps": args.n_reps,
-        "seed": args.seed,
-        "rho_grid": list(rho_grid),
-        "sigma0_grid": list(sigma0_grid),
-        "tau": args.tau,
-        "lambda_storey": args.lambda_storey,
-        "lambda_discard": args.lambda_discard,
-        "xi_quantile": args.xi_quantile,
-        "k": args.k,
-        "version": __version__,
-    }
+    config = _config(args, "methods", "q", "n_reps", "seed", "rho_grid", "sigma0_grid",
+                     "tau", "lambda_storey", "lambda_discard", "xi_quantile", "k",
+                     methods=list(methods), rho_grid=list(rho_grid),
+                     sigma0_grid=list(sigma0_grid))
     buf = io.StringIO()
     buf.write("# config: " + json.dumps(config, default=_json_default) + "\n")
     buf.write("scenario,param,method,fdr,fdr_se,tpr,tpr_se,n_reps,seed\n")
@@ -393,32 +374,20 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_histogram(args) -> int:
-    sample = ingest_statistics(args.input)
-    model = select_null(
-        sample, TruncationRule(quantile_level=args.xi_quantile), k=args.k
-    )
-    p_std = standard_pvalues(sample)
+    # lambda and the bin count are checked on a one-value probe before the
+    # input is read
+    storey_pi0([0.0], args.lambda_storey)
+    pvalue_histogram([0.0], args.bins)
+    sample, model = _fit(args)
     p_eb = eb_pvalues(sample, model)
-    config = {
-        "command": "histogram",
-        "input": args.input,
-        "bins": args.bins,
-        "lambda_storey": args.lambda_storey,
-        "xi_quantile": args.xi_quantile,
-        "k": args.k,
-        "version": __version__,
-    }
-    pi0_raw = storey_pi0(p_eb, args.lambda_storey)
-    # the counts check the bin count before linspace sees it
-    p_std_counts = pvalue_histogram(p_std, args.bins)
     report = {
-        "config": config,
+        "config": _config(args, "input", "bins", "lambda_storey", "xi_quantile", "k"),
         "edges": np.linspace(0.0, 1.0, args.bins + 1),
-        "p_std_counts": p_std_counts,
+        "p_std_counts": pvalue_histogram(standard_pvalues(sample), args.bins),
         "p_eb_counts": pvalue_histogram(p_eb, args.bins),
         "family": model.family,
         "xi": model.cut_xi,
-        "pi0_hat": min(pi0_raw, 1.0),
+        "pi0_hat": min(storey_pi0(p_eb, args.lambda_storey), 1.0),
     }
     _json_report(report, args.output)
     return 0
@@ -497,14 +466,8 @@ def cmd_tstats(args) -> int:
                   else f"has no finite z-value (t = {t[i]:.6g} on {df[i]:.6g} df)")
         raise CLIError(f"line {linenos[i]}: row {ids[i]!r} {reason}")
 
-    config = {
-        "command": "tstats",
-        "input": args.input,
-        "group_a": group_a,
-        "group_b": group_b,
-        "pooled": bool(args.pooled),
-        "version": __version__,
-    }
+    config = _config(args, "input", "group_a", "group_b", "pooled",
+                     group_a=group_a, group_b=group_b)
     buf = io.StringIO()
     buf.write("# config: " + json.dumps(config, default=_json_default) + "\n")
     # csv quotes an id that holds a comma or quote; floats are written as repr.

@@ -64,6 +64,11 @@ def _check_q(q: float):
         raise ValueError("target FDR level q must lie in (0, 1)")
 
 
+def _check_lambda(lam: float):
+    if not (0.0 <= lam < 1.0):
+        raise ValueError("lambda must lie in [0, 1)")
+
+
 def _step_up(vals: np.ndarray, q: float, pi0: float, procedure: str,
              scan: np.ndarray | None = None) -> RejectionResult:
     """Reject every p at or below the largest candidate (of ``scan``, all of
@@ -96,8 +101,7 @@ def storey_pi0(pvalues, lam: float = 0.5) -> float:
 
     Returned uncapped; callers that need a proportion clip it themselves.
     """
-    if not (0.0 <= lam < 1.0):
-        raise ValueError("lambda must lie in [0, 1)")
+    _check_lambda(lam)
     vals = _as_pvalues(pvalues)
     m = vals.size
     if m == 0:
@@ -127,6 +131,7 @@ def c_storey_bh(
     _check_q(q)
     if not (0.0 < tau <= 1.0):
         raise ValueError("tau must lie in (0, 1]")
+    _check_lambda(lam)
     vals = _as_pvalues(pvalues)
     m = vals.size
     keep = np.flatnonzero(vals <= tau)

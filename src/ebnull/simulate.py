@@ -196,6 +196,15 @@ def run_methods(
     return out
 
 
+def check_methods(methods, q: float, tau: float, lambda_storey: float,
+                  lambda_discard: float):
+    """Raise the ``ValueError`` that ``run_methods`` would raise with these
+    names and settings, before any data exists: it runs them on the
+    one-element vector [0.0], so each procedure checks its own settings."""
+    probe = PValueVector(np.zeros(1))
+    run_methods(methods, probe, probe, q, tau, lambda_storey, lambda_discard)
+
+
 def _mean_se(values: list) -> tuple[float, float]:
     """Mean of per-replication values and its Monte Carlo standard error:
     NaN for both from no values, and an error of 0.0 from one."""
@@ -217,22 +226,19 @@ def run_scenario(
 ) -> SimSummary:
     """Run every replication of a scenario and aggregate error rates.
 
-    The null is fitted, once per replication, only when "proposed" is
-    requested.  An invalid ``xi_quantile`` (for any method set) or
-    ``mixture_k`` (when "proposed" is requested) raises ``ValueError``
-    before the first replication is drawn.  A replication whose null fit
-    or fitted-null p-values raise ``ValueError`` (``select_null`` raises it
-    when every family fails) is dropped for all methods (keeping the
-    per-method averages paired) and counted in the summary.  The procedures
-    run outside that guard, so an invalid ``tau``, ``lambda_storey`` or
-    ``lambda_discard`` raises ``ValueError``; any other exception propagates.
-    Results do not depend on iteration order beyond the deterministic
-    per-rep seeding.
+    Every method name and setting is checked before the first replication
+    is drawn: an unknown method or an invalid ``tau``, ``lambda_storey``,
+    ``lambda_discard`` (through ``check_methods``) or ``xi_quantile``, and
+    ``mixture_k`` when "proposed" is requested, raises ``ValueError``.  The
+    null is fitted, once per replication, only when "proposed" is requested.
+    A replication whose null fit or fitted-null p-values raise
+    ``ValueError`` (``select_null`` raises it when every family fails) is
+    dropped for all methods (keeping the per-method averages paired) and
+    counted in the summary; any other exception propagates.  Results do not
+    depend on iteration order beyond the deterministic per-rep seeding.
     """
     methods = tuple(methods)
-    for method in methods:
-        if method not in METHOD_NAMES:
-            raise ValueError(f"unknown method {method!r}")
+    check_methods(methods, scenario.q, tau, lambda_storey, lambda_discard)
     rule = TruncationRule(quantile_level=xi_quantile)
     fit_null = "proposed" in methods
     if fit_null and mixture_k < 2:

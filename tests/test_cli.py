@@ -10,15 +10,24 @@ from scipy.stats import norm, ttest_ind
 from scipy.stats import t as student_t
 
 import ebnull.cli as cli
+import ebnull.simulate as sim
 from ebnull.cli import CLIError, ingest_statistics, main
 from ebnull.nullmodel import TruncationRule, select_null
 from ebnull.pvalues import PValueVector, standard_pvalues
-from ebnull.simulate import METHOD_NAMES, run_methods
+from ebnull.simulate import METHOD_NAMES, generate, run_methods
 
 
 def _write(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def _record_reads(monkeypatch) -> list:
+    """The paths the commands hand ``ingest_statistics`` from now on."""
+    read = []
+    monkeypatch.setattr(cli, "ingest_statistics",
+                        lambda path: read.append(path) or ingest_statistics(path))
+    return read
 
 
 @pytest.fixture()
@@ -379,21 +388,26 @@ def test_simulate_rejects_bad_xi_quantile(capsys):
     ["--lambda-discard", "0.7", "--method", "d-stbh"],
     ["--lambda-storey", "1.5", "--method", "stbh"],
 ], ids=["tau", "lambda-discard", "lambda-storey"])
-def test_simulate_rejects_bad_procedure_parameter(capsys, flags):
-    # as in ``ebnull test``: an error, not rows of nan from failed replications
+def test_simulate_rejects_bad_procedure_parameter(capsys, monkeypatch, flags):
+    # as in ``ebnull test``: an error before any replication is drawn, not
+    # rows of nan from failed replications
+    drawn = []
+    monkeypatch.setattr(sim, "generate",
+                        lambda scenario, rep: drawn.append(rep) or generate(scenario, rep))
     assert main(["simulate", "--rho-grid", "0.8", "--n-reps", "2", *flags]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert "error" in json.loads(lines[0])
+    assert drawn == []
 
 
 # ---------------------------------------------------------------------------
 # histogram command
 
 
-def test_histogram_report(stats_file, capsys):
+def test_histogram_report(stats_file, capsys, monkeypatch):
     assert main(["histogram", "--input", stats_file, "--bins", "20"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert set(report) == {"config", "edges", "p_std_counts", "p_eb_counts",
@@ -407,12 +421,15 @@ def test_histogram_report(stats_file, capsys):
     top_std = sum(report["p_std_counts"][-5:])
     top_eb = sum(report["p_eb_counts"][-5:])
     assert top_eb < top_std
-    # the bin count is checked before np.linspace would refuse -2 in its own words
+    # the bin count is checked before the input is read, and before
+    # np.linspace would refuse -2 in its own words
+    read = _record_reads(monkeypatch)
     for bins in ("0", "-1", "-2"):
         assert main(["histogram", "--input", stats_file, "--bins", bins]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err) == {"error": "need at least one bin"}
+    assert read == []
 
 
 def test_histogram_records_lambda_storey(stats_file, capsys):
@@ -640,6 +657,26 @@ def test_tstats_then_test_rejects_nothing_on_null_matrix(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # error handling
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["test", "--q", "1.5"], "target FDR level q must lie in (0, 1)"),
+    (["test", "--method", "c-stbh", "--tau", "2"], "tau must lie in (0, 1]"),
+    (["test", "--lambda-discard", "0.7"], "need 0 <= lambda < tau <= 1"),
+    (["histogram", "--lambda-storey", "1.5"], "lambda must lie in [0, 1)"),
+    (["fit-null", "--xi-quantile", "2"], "quantile level must lie in (0, 1)"),
+], ids=["test-q", "test-tau", "test-lambda-discard", "histogram-lambda-storey",
+        "fit-null-xi-quantile"])
+def test_bad_setting_stops_before_the_input_is_read(tmp_path, capsys, monkeypatch,
+                                                    argv, error):
+    # the input is missing too: the setting is reported, and no file is read
+    read = _record_reads(monkeypatch)
+    assert main([*argv, "--input", str(tmp_path / "missing.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert json.loads(captured.err) == {"error": error}
+    assert read == []
 
 
 def test_missing_input_file_is_reported(capsys):

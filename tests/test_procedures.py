@@ -153,6 +153,10 @@ def test_c_storey_bh_validation():
     for tau in (0.0, 1.5):
         with pytest.raises(ValueError, match="tau"):
             c_storey_bh(p, q=0.1, tau=tau)
+    # lambda is checked whether or not any p-value is conditioned on
+    for kept in ([0.1, 0.8], [0.9, 0.8]):
+        with pytest.raises(ValueError, match=r"lambda must lie in \[0, 1\)"):
+            c_storey_bh(np.array(kept), q=0.1, tau=0.5, lam=5.0)
 
 
 def test_d_storey_bh_worked_example():

@@ -1,18 +1,25 @@
 """Simulation harness: priors, determinism, aggregation, diagnostics."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 import ebnull.nullmodel as nm
 import ebnull.simulate as sim
 from ebnull.pvalues import PValueVector
 from ebnull.simulate import (
+    METHOD_NAMES,
     HalfNormalPrior,
     SimScenario,
     TwoPointPrior,
     generate,
     pvalue_histogram,
+    run_methods,
     run_scenario,
 )
 
@@ -187,12 +194,18 @@ def test_run_scenario_validates_k_up_front():
     assert summary.n_failures == 0
 
 
-def test_run_scenario_validates_xi_quantile_up_front(monkeypatch):
-    """An invalid truncation quantile is a configuration error for every
-    method set, raised before any replication is drawn, not a failed rep."""
+def _record_draws(monkeypatch) -> list:
+    """The replication indices ``run_scenario`` draws from now on."""
     drawn = []
     monkeypatch.setattr(sim, "generate",
                         lambda scenario, rep: drawn.append(rep) or generate(scenario, rep))
+    return drawn
+
+
+def test_run_scenario_validates_xi_quantile_up_front(monkeypatch):
+    """An invalid truncation quantile is a configuration error for every
+    method set, raised before any replication is drawn, not a failed rep."""
+    drawn = _record_draws(monkeypatch)
     scenario = SimScenario(null_prior=TwoPointPrior(0.5), m=100, n_reps=2)
     for methods in (("bh",), ("bh", "proposed")):
         with pytest.raises(ValueError, match="quantile level"):
@@ -200,11 +213,45 @@ def test_run_scenario_validates_xi_quantile_up_front(monkeypatch):
     assert drawn == []
 
 
-def test_run_scenario_raises_on_invalid_procedure_parameter():
-    """An invalid tau is a configuration error, not a failed replication."""
+def test_run_scenario_raises_on_invalid_procedure_parameter(monkeypatch):
+    """An invalid tau is a configuration error, raised before any
+    replication is drawn, not a failed replication."""
+    drawn = _record_draws(monkeypatch)
     scenario = SimScenario(null_prior=TwoPointPrior(0.8), m=200, n_reps=2)
     with pytest.raises(ValueError, match="tau"):
         run_scenario(scenario, methods=("c-stbh", "bh"), tau=2.0)
+    assert drawn == []
+
+
+def _error_of(call, *args):
+    """The message of the ``ValueError`` ``call(*args)`` raises, else None."""
+    try:
+        call(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+_setting = st.one_of(st.floats(min_value=-0.5, max_value=1.5), st.just(math.nan))
+
+
+@settings(max_examples=400, deadline=None)
+# c-stbh once checked lambda only when some p-value lay at or below tau
+@example(methods=["c-stbh"], p=[0.9, 0.8], q=0.1, tau=0.5, lambda_storey=1.5,
+         lambda_discard=0.25)
+@given(methods=st.lists(st.sampled_from(METHOD_NAMES), max_size=6),
+       p=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=20),
+       q=_setting, tau=_setting, lambda_storey=_setting, lambda_discard=_setting)
+def test_check_methods_raises_as_run_methods_does(methods, p, q, tau, lambda_storey,
+                                                  lambda_discard):
+    # the one-value probe stands for any data: it raises when and as the
+    # procedures would on a real p-vector, and nothing but ValueError escapes
+    p = PValueVector(np.array(p))
+    config = (q, tau, lambda_storey, lambda_discard)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = _error_of(run_methods, methods, p, p, *config)
+        assert _error_of(sim.check_methods, methods, *config) == expected
 
 
 def test_run_scenario_failure_causes(monkeypatch):

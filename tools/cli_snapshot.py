@@ -88,8 +88,12 @@ def runs():
         ("tstats-pooled", ["tstats", "--input", "matrix.csv", *groups, "--pooled"]),
         ("err-bad-q", ["test", "--input", "stats.csv", "--q", "1.5"]),
         ("err-bad-tau", ["test", "--input", "stats.csv", "--method", "c-stbh", "--tau", "2"]),
+        ("err-lambda-discard", ["test", "--input", "stats.csv", "--lambda-discard", "0.7"]),
+        # a bad setting is reported before the input is found missing
+        ("err-bad-q-missing-file", ["test", "--input", "missing.txt", "--q", "1.5"]),
         ("err-k1", ["fit-null", "--input", "stats.csv", "--k", "1"]),
         ("err-k-not-int", ["fit-null", "--input", "stats.csv", "--k", "lots"]),
+        ("err-xi-quantile", ["fit-null", "--input", "stats.csv", "--xi-quantile", "2"]),
         ("err-missing-file", ["fit-null", "--input", "missing.txt"]),
         ("err-unwritable", ["test", "--input", "stats.csv", "--output", "no-dir/report.json"]),
         ("err-bad-cell", ["test", "--input", "bad.csv"]),
@@ -97,7 +101,10 @@ def runs():
         ("err-dup-id", ["test", "--input", "dup-id.csv"]),
         ("err-bins-0", ["histogram", "--input", "stats.txt", "--bins", "0"]),
         ("err-bins-neg2", ["histogram", "--input", "stats.txt", "--bins", "-2"]),
+        ("err-lambda-storey", ["histogram", "--input", "stats.txt", "--lambda-storey", "1.5"]),
         ("err-bad-grid", ["simulate", "--rho-grid", "x", "--n-reps", "1"]),
+        ("err-simulate-tau", ["simulate", "--rho-grid", "0.8", "--n-reps", "1",
+                              "--method", "c-stbh", "--tau", "2"]),
         ("err-tstats-column", ["tstats", "--input", "matrix.csv",
                                "--group-a", "a1,zz", "--group-b", "b1,b2"]),
     ]
