@@ -29,7 +29,7 @@ import numpy as np
 from scipy import special
 
 from . import __version__
-from .nullmodel import NullModel, StatSample, TruncationRule, select_null
+from .nullmodel import NullModel, StatSample, TruncationRule, _check_k, select_null
 from .procedures import storey_pi0
 from .pvalues import eb_pvalues, standard_pvalues
 from .simulate import (
@@ -121,9 +121,19 @@ def _csv_blocks(lines, width: int):
             raise CLIError(f"line {linenos[bad]}: expected {width} fields, got {len(rows[bad])}")
 
 
+def _column(header: list[str], lineno: int, name: str) -> int | None:
+    """Index of ``name`` in the header on line ``lineno``, None when absent;
+    a name matching two cells, which would be read from the first, raises."""
+    count = header.count(name)
+    if count > 1:
+        raise CLIError(f"line {lineno}: column {name!r} matches {count} header cells")
+    return header.index(name) if count else None
+
+
 def ingest_statistics(path: str) -> StatSample:
-    """Load statistics from a plain-number file or a CSV with a
-    ``statistic`` column (and optional ``id`` column).
+    """Load statistics from a plain-number file, read as a one-column CSV
+    without a header, or a CSV with a ``statistic`` column and an optional
+    ``id`` column, the only source of ids (``ids`` is None without one).
 
     The file is read once, in blocks of lines whose statistic column is
     parsed in one pass; every parse failure names its 1-based line number.
@@ -135,24 +145,13 @@ def ingest_statistics(path: str) -> StatSample:
     try:
         float(_normalize_number(first[1]))
     except ValueError:
-        pass
-    else:  # a plain file is a one-column CSV without a header
-        values = [_parse_column([row[0] for row in rows], linenos)
-                  for linenos, rows in _csv_blocks(chain([first], lines), 1)]
-        return StatSample(values=np.concatenate(values))
-
-    header = [cell.strip() for cell in _split_row(first[1])]
-    if "statistic" not in header:
-        raise CLIError(
-            f"line {first[0]}: expected a number or a CSV header with a "
-            "'statistic' column"
-        )
-    for name in ("statistic", "id"):
-        if header.count(name) > 1:
-            raise CLIError(f"line {first[0]}: column {name!r} matches "
-                           f"{header.count(name)} header cells")
-    stat_col = header.index("statistic")
-    id_col = header.index("id") if "id" in header else None
+        header = [cell.strip() for cell in _split_row(first[1])]
+        if "statistic" not in header:
+            raise CLIError(f"line {first[0]}: expected a number or a CSV header "
+                           "with a 'statistic' column")
+    else:
+        header, lines = ["statistic"], chain([first], lines)
+    stat_col, id_col = (_column(header, first[0], name) for name in ("statistic", "id"))
 
     values, ids = [], []
     for linenos, rows in _csv_blocks(lines, len(header)):
@@ -161,10 +160,8 @@ def ingest_statistics(path: str) -> StatSample:
             ids += [row[id_col].strip() for row in rows]
     if not values:
         raise CLIError(f"{path}: no statistics found")
-    values = np.concatenate(values)
-    if id_col is None:
-        ids = map(str, range(values.size))
-    return StatSample(values=values, ids=tuple(ids))
+    return StatSample(values=np.concatenate(values),
+                      ids=None if id_col is None else tuple(ids))
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +249,11 @@ def _fit_block(model: NullModel) -> dict:
 
 
 def _fit(args) -> tuple[StatSample, NullModel]:
-    """The input's statistics and their fitted null.  The truncation rule
-    checks ``--xi-quantile`` before the file is read; ``select_null``
-    checks ``--k`` after it is read but before any fit."""
+    """The input's statistics and their fitted null.  ``--xi-quantile``
+    (by the truncation rule) and ``--k`` (by the grid rule ``select_null``
+    applies) are checked before the file is read."""
     rule = TruncationRule(quantile_level=args.xi_quantile)
+    _check_k(args.k)
     sample = ingest_statistics(args.input)
     return sample, select_null(sample, rule, k=args.k)
 
@@ -424,12 +422,11 @@ def cmd_tstats(args) -> int:
         if name not in header:
             raise CLIError(f"column {name!r} not found in {args.input}")
     # a column read twice would give a wrong t without any other sign
+    cols = []
     for name in names:
         if names.count(name) > 1:
             raise CLIError(f"column {name!r} is named twice in --group-a and --group-b")
-        if header.count(name) > 1:
-            raise CLIError(f"column {name!r} matches {header.count(name)} header cells")
-    cols = [header.index(name) for name in names]
+        cols.append(_column(header, first[0], name))
 
     linenos, ids, blocks = [], [], []
     for block_linenos, rows in _csv_blocks(lines, len(header)):

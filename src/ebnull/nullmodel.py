@@ -120,6 +120,12 @@ def resolve_cut(sample, rule: TruncationRule | None = None) -> float:
     return float(np.quantile(_as_values(sample), rule.quantile_level))
 
 
+def _check_k(k: int):
+    """The one rule on the mixture grid's size."""
+    if k < 2:
+        raise ValueError("need at least 2 grid atoms")
+
+
 def _truncated(values: np.ndarray, xi: float) -> np.ndarray:
     z0 = values[values <= xi]
     if z0.size < 2:
@@ -239,8 +245,7 @@ class NullModel:
 
 
 def _gaussian_loglik(mu, n, sum_z, sum_zz, xi):
-    """Truncated-sample log-likelihood of N(mu, 1); vectorized over mu."""
-    mu = np.asarray(mu, dtype=float)
+    """Truncated-sample log-likelihood of N(mu, 1)."""
     quad = sum_zz - 2.0 * mu * sum_z + n * mu * mu
     return -0.5 * n * _LOG_2PI - 0.5 * quad - n * special.log_ndtr(xi - mu)
 
@@ -324,9 +329,7 @@ def fit_skew_normal(sample, xi: float) -> SkewNormalNull:
     for edge in (_ETA_MIN, _ETA_MAX):
         candidates.append((edge, _skew_loglik(edge, z0, xi, n, sum_zz)))
     eta, loglik = max(candidates, key=lambda pair: pair[1])
-    at_boundary = eta in (_ETA_MIN, _ETA_MAX) or min(
-        eta - _ETA_MIN, _ETA_MAX - eta
-    ) < 1e-5 * (_ETA_MAX - _ETA_MIN)
+    at_boundary = min(eta - _ETA_MIN, _ETA_MAX - eta) < 1e-5 * (_ETA_MAX - _ETA_MIN)
     return SkewNormalNull(
         sigma0=math.exp(eta), eta=eta, loglik=loglik, at_boundary=at_boundary
     )
@@ -336,19 +339,19 @@ def fit_skew_normal(sample, xi: float) -> SkewNormalNull:
 # mixture fit: concave weight optimization on a fixed atom grid
 
 
-def _mixture_columns(z0, xi, grid):
+def _mixture_columns(z0, grid, log_below):
     """Per-observation, per-atom truncated density columns, row-shifted.
 
     Returns (A, row_shift) with A[i, k] = exp(L[i, k] - row_shift[i]) where
-    L[i, k] = log phi(z_i - mu_k) - log Phi(xi - mu_k).  The shift keeps the
-    rows well scaled; log-likelihoods add sum(row_shift) back.
+    L[i, k] = log phi(z_i - mu_k) - log_below[k], log_below being log Phi(xi - grid).
+    The shift keeps the rows well scaled; log-likelihoods add sum(row_shift) back.
     """
     # built in place: one n-by-k array, where each step of the expression
     # would allocate another (the CLI's fit has n near 1.7e5)
     logcols = z0[:, None] - grid[None, :]
     logcols *= logcols
     logcols *= -0.5
-    logcols -= 0.5 * _LOG_2PI + special.log_ndtr(xi - grid)
+    logcols -= 0.5 * _LOG_2PI + log_below
     shift = logcols.max(axis=1)
     logcols -= shift[:, None]
     return np.exp(logcols, out=logcols), shift
@@ -365,10 +368,10 @@ def _solve_weights_mixsqp(A):
     backtracking Armijo step toward that solution, and rescales x onto the
     simplex, which never raises f.  The loop stops when the relative KKT
     gap ``max_k (A'u)_k / n - 1`` falls to ``_MIX_TOL``, when a step makes
-    no progress, or after ``_MIX_MAX_ITER`` steps.  Returns the weights,
-    the log-likelihood sum(log Ax), the step count, the gap in nats (n
-    times the relative gap, a bound on the log-likelihood still to gain)
-    and whether the gap met the tolerance.
+    no progress, or after ``_MIX_MAX_ITER`` steps.  Returns the weights x,
+    the fitted densities Ax, the step count, the gap in nats (n times the
+    relative gap, a bound on the log-likelihood still to gain) and whether
+    the gap met the tolerance.
     """
     n, K = A.shape
     x = np.full(K, 1.0 / K)
@@ -421,7 +424,7 @@ def _solve_weights_mixsqp(A):
         x /= x.sum()
         d = A @ x
         iterations += 1
-    return x, float(np.log(d).sum()), iterations, gap * n, gap <= _MIX_TOL
+    return x, d, iterations, gap * n, gap <= _MIX_TOL
 
 
 def fit_mixture(sample, xi: float, k: int = 50) -> MixtureNull:
@@ -449,25 +452,25 @@ def fit_mixture(sample, xi: float, k: int = 50) -> MixtureNull:
     likelihood tail optimistic where the discoveries are.  ``tail_mass`` is
     the share moved; ``loglik`` and the weights stay maximum-likelihood.
     """
-    values = _as_values(sample)
-    z0 = _truncated(values, xi)
-    if k < 2:
-        raise ValueError("need at least 2 grid atoms")
-    grid = np.linspace(min(float(values.min()), 0.0), 0.0, k)
+    z0 = _truncated(_as_values(sample), xi)
+    _check_k(k)
+    # the sample minimum is at or below every cut, so z0 holds it
+    grid = np.linspace(min(float(z0.min()), 0.0), 0.0, k)
+    log_below = special.log_ndtr(xi - grid)
 
-    A, row_shift = _mixture_columns(z0, xi, grid)
+    A, row_shift = _mixture_columns(z0, grid, log_below)
     if not np.isfinite(row_shift).all():
         raise ValueError(
             "mixture log-density columns are not finite: the statistics are too "
             "large in magnitude for the atom grid"
         )
-    eta, obj, iterations, gap, converged = _solve_weights_mixsqp(A)
-    loglik = obj + float(row_shift.sum())
+    eta, d, iterations, gap, converged = _solve_weights_mixsqp(A)
+    loglik = float(np.log(d).sum()) + float(row_shift.sum())
 
     # the tail bound moves tilted weight toward the atom at 0, the last and
     # heaviest-tailed, to (1 - eps) eta + eps e_K, where the log-likelihood
     # has dropped by _TAIL_DELTA; summed in log1p terms, it is concave in eps
-    r = A[:, -1] / (A @ eta) - 1.0
+    r = A[:, -1] / d - 1.0
 
     def spare(eps):
         return np.log1p(eps * r).sum() + _TAIL_DELTA
@@ -475,7 +478,6 @@ def fit_mixture(sample, xi: float, k: int = 50) -> MixtureNull:
     # undo the truncation tilt, eta_k  propto  p_k * Phi(xi - mu_k), in logs,
     # since Phi underflows to 0 at every atom when the cut lies far below 0;
     # the bound puts eps / Phi(xi) at 0 against (1 - eps) sum_k exp(log_p_k)
-    log_below = special.log_ndtr(xi - grid)
     with np.errstate(divide="ignore"):
         eps = 1.0 if spare(1.0) >= 0.0 else brentq(spare, 0.0, 1.0)
         log_p = np.log(eta) - log_below
@@ -487,7 +489,7 @@ def fit_mixture(sample, xi: float, k: int = 50) -> MixtureNull:
         grid=grid,
         weights_p=weights_p,
         weights_eta=eta,
-        loglik=float(loglik),
+        loglik=loglik,
         iterations=iterations,
         converged=converged,
         kkt_gap=float(gap),
@@ -523,8 +525,7 @@ def select_null(sample, rule: TruncationRule | None = None, k: int = 50) -> Null
     overflow and invalid-value warnings off, since the finite-loglik rule
     already judges what those produce.
     """
-    if k < 2:
-        raise ValueError("need at least 2 grid atoms")
+    _check_k(k)
     if not isinstance(sample, StatSample):  # validated once, not once per fit
         sample = StatSample(np.asarray(sample, dtype=float))
     xi = resolve_cut(sample, rule)

@@ -125,8 +125,9 @@ def c_storey_bh(
     The adaptive step-up runs entirely on the conditioned vector (with its
     own length and pi0 estimate) and its rejections are mapped back to the
     original positions, so the rejection set only holds hypotheses with
-    p <= tau.  With nothing conditioned, nothing is rejected and pi0_hat
-    is 1.
+    p <= tau; the threshold is the largest rejected p-value itself, which
+    (p / tau) * tau need not give back.  With nothing conditioned, nothing
+    is rejected and pi0_hat is 1.
     """
     _check_q(q)
     if not (0.0 < tau <= 1.0):
@@ -139,7 +140,7 @@ def c_storey_bh(
     if keep.size:
         inner = storey_bh(PValueVector(vals[keep] / tau), q, lam)
         rejected, pi0 = keep[inner.rejected], inner.pi0_hat
-        thr = inner.threshold * tau
+        thr = float(vals[rejected].max()) if rejected.size else 0.0
     return RejectionResult(
         rejected=rejected, threshold=thr, pi0_hat=pi0, procedure="c-stbh", q=q, m=m
     )

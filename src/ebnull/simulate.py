@@ -20,9 +20,10 @@ import numpy as np
 from scipy.special import ndtr
 
 from .distributions import skew_normal_sf
-from .nullmodel import StatSample, TruncationRule, select_null
+from .nullmodel import StatSample, TruncationRule, _check_k, select_null
 from .procedures import (
     RejectionResult,
+    _check_q,
     bh,
     c_storey_bh,
     compute_metrics,
@@ -112,8 +113,7 @@ class SimScenario:
             raise ValueError("need at least 2 hypotheses")
         if not (0.0 < self.pi0 <= 1.0):
             raise ValueError("pi0 must lie in (0, 1]")
-        if not (0.0 < self.q < 1.0):
-            raise ValueError("q must lie in (0, 1)")
+        _check_q(self.q)
         if self.n_reps < 1:
             raise ValueError("need at least one replication")
         if self.base_seed < 0:
@@ -229,8 +229,9 @@ def run_scenario(
     Every method name and setting is checked before the first replication
     is drawn: an unknown method or an invalid ``tau``, ``lambda_storey``,
     ``lambda_discard`` (through ``check_methods``) or ``xi_quantile``, and
-    ``mixture_k`` when "proposed" is requested, raises ``ValueError``.  The
-    null is fitted, once per replication, only when "proposed" is requested.
+    ``mixture_k`` when "proposed" is requested (by ``select_null``'s grid
+    rule), raises ``ValueError``.  The null is fitted, once per
+    replication, only when "proposed" is requested.
     A replication whose null fit or fitted-null p-values raise
     ``ValueError`` (``select_null`` raises it when every family fails) is
     dropped for all methods (keeping the per-method averages paired) and
@@ -241,8 +242,8 @@ def run_scenario(
     check_methods(methods, scenario.q, tau, lambda_storey, lambda_discard)
     rule = TruncationRule(quantile_level=xi_quantile)
     fit_null = "proposed" in methods
-    if fit_null and mixture_k < 2:
-        raise ValueError("need at least 2 grid atoms")
+    if fit_null:
+        _check_k(mixture_k)
     rows = {method: ([], []) for method in methods}  # fdp list, tpp list
     failures = 0
     for rep in range(scenario.n_reps):

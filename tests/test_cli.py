@@ -64,7 +64,25 @@ def test_ingest_csv_statistic_column_only(tmp_path):
     path = _write(tmp_path / "t.csv", "statistic,extra\n0.5,x\n1.5,y\n")
     sample = ingest_statistics(path)
     assert sample.values.tolist() == [0.5, 1.5]
-    assert sample.ids == ("0", "1")
+    # ids come only from an id column; `test` numbers the rest itself
+    assert sample.ids is None
+
+
+def test_plain_file_reads_as_a_statistic_column(stats_file, tmp_path):
+    # a plain file is the one-column CSV without a header: the same values,
+    # no ids, and the same `test` report past its config block
+    with open(stats_file, encoding="utf-8") as fh:
+        text = fh.read()
+    csv_file = _write(tmp_path / "stats.csv", "statistic\n" + text)
+    plain, headed = ingest_statistics(stats_file), ingest_statistics(csv_file)
+    assert plain.values.tolist() == headed.values.tolist()
+    assert plain.ids is None and headed.ids is None
+    reports = []
+    for path in (stats_file, csv_file):
+        out = tmp_path / "report.json"
+        assert main(["test", "--input", path, "--output", str(out)]) == 0
+        reports.append(out.read_text(encoding="utf-8").split('"fit": ', 1)[1])
+    assert reports[0] == reports[1]
 
 
 def test_ingest_errors_carry_line_numbers(tmp_path):
@@ -527,8 +545,9 @@ def test_tstats_errors(tmp_path, capsys):
     ("id,a1,a2,b1,b2", "a1,a1", "b1,b2", "column 'a1' is named twice"),
     ("id,a1,a2,b1,b2", "a1,a2", "b1,b2,b1", "column 'b1' is named twice"),
     ("id,a1,a2,b1,b2", "a1,a2", "a2,b1", "column 'a2' is named twice"),
-    ("id,a1,a1,b1,b2", "a1", "b1,b2", "column 'a1' matches 2 header cells"),
-], ids=["twice-in-a", "twice-in-b", "in-both", "two-header-cells"])
+    ("id,a1,a1,b1,b2", "a1", "b1,b2", "line 1: column 'a1' matches 2 header cells"),
+    ("# c\n\nid,a1,a2,b1,b1", "a1,a2", "b1", "line 3: column 'b1' matches 2 header cells"),
+], ids=["twice-in-a", "twice-in-b", "in-both", "two-header-cells", "two-cells-later-line"])
 def test_tstats_rejects_ambiguous_group_columns(tmp_path, capsys, header, group_a, group_b,
                                                 message):
     # each reads one column where two were meant; a1,a1 vs b1,b2 used to
@@ -665,8 +684,11 @@ def test_tstats_then_test_rejects_nothing_on_null_matrix(tmp_path, capsys):
     (["test", "--lambda-discard", "0.7"], "need 0 <= lambda < tau <= 1"),
     (["histogram", "--lambda-storey", "1.5"], "lambda must lie in [0, 1)"),
     (["fit-null", "--xi-quantile", "2"], "quantile level must lie in (0, 1)"),
+    (["fit-null", "--k", "1"], "need at least 2 grid atoms"),
+    (["test", "--k", "1"], "need at least 2 grid atoms"),
+    (["histogram", "--k", "1"], "need at least 2 grid atoms"),
 ], ids=["test-q", "test-tau", "test-lambda-discard", "histogram-lambda-storey",
-        "fit-null-xi-quantile"])
+        "fit-null-xi-quantile", "fit-null-k", "test-k", "histogram-k"])
 def test_bad_setting_stops_before_the_input_is_read(tmp_path, capsys, monkeypatch,
                                                     argv, error):
     # the input is missing too: the setting is reported, and no file is read

@@ -9,6 +9,8 @@ sets must agree exactly.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ebnull.procedures import (
     ErrorMetrics,
@@ -148,6 +150,15 @@ def test_c_storey_bh_conditions_on_p_at_or_below_tau():
     assert r.rejected.tolist() == [1]
 
 
+@pytest.mark.parametrize("p, tau", [(0.007, 0.7), (0.023, 0.3)])
+def test_c_storey_bh_threshold_is_the_largest_rejected_pvalue(p, tau):
+    # p / tau * tau rounds away from p when tau is not a power of two:
+    # 0.007 / 0.7 * 0.7 = 0.006999999999999999 lies below the p it rejected
+    r = c_storey_bh(np.array([p]), q=0.1, tau=tau)
+    assert r.rejected.tolist() == [0]
+    assert r.threshold == p
+
+
 def test_c_storey_bh_validation():
     p = np.array([0.1, 0.2])
     for tau in (0.0, 1.5):
@@ -250,6 +261,29 @@ def test_bh_follows_the_definition_at_rounding_boundaries(vals, q, expected):
     vals = np.array(vals)
     assert bh(vals, q).rejected.tolist() == expected
     assert sorted(bf_bh(vals, q)) == expected
+
+
+# a few base values repeated, so ties are common, with exact 0 and 1 among them
+_pvalue_lists = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10).flatmap(
+    lambda base: st.lists(st.sampled_from(base + [0.0, 1.0]), min_size=1, max_size=30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_pvalue_lists, q=st.floats(0.001, 0.999),
+       lam=st.sampled_from([0.0, 0.3, 0.5, 0.8]),
+       tau=st.sampled_from([0.3, 0.45, 0.5, 0.7, 0.9, 1.0]),
+       lam_discard=st.sampled_from([0.0, 0.1, 0.25]))
+@example(p=[0.007], q=0.1, lam=0.5, tau=0.7, lam_discard=0.25)
+@example(p=[0.023], q=0.1, lam=0.5, tau=0.3, lam_discard=0.25)
+def test_rejections_are_the_pvalues_at_or_below_the_threshold(p, q, lam, tau,
+                                                              lam_discard):
+    # the RejectionResult contract: the threshold is 0.0 or an input p-value,
+    # and exactly the p-values at or below it are rejected
+    vals = np.array(p)
+    for r in (bh(vals, q), storey_bh(vals, q, lam), c_storey_bh(vals, q, tau=tau, lam=lam),
+              d_storey_bh(vals, q, lam=lam_discard, tau=tau)):
+        assert r.rejected.tolist() == np.flatnonzero(vals <= r.threshold).tolist(), r.procedure
+        assert r.threshold == 0.0 or r.threshold in p, r.procedure
 
 
 def test_discarding_with_full_window_is_uncapped_storey():

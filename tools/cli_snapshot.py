@@ -34,9 +34,10 @@ def _csv_cell(text: str) -> str:
 
 
 def write_inputs(outdir: str):
-    """Statistics as a 2e4-row CSV and as a plain file, a 3000-row
-    two-group matrix with blank and NA cells, and the inputs of the
-    failing runs."""
+    """Statistics as a 2e4-row CSV, as a plain file and as the CSV's first
+    850 rows, a 3000-row two-group matrix with blank and NA cells, and the
+    inputs of the failing runs, among them the matrix's first rows under a
+    header that names a group column twice."""
     rng = np.random.default_rng(20240)
     z = np.concatenate([-np.abs(rng.normal(0.0, 1.5, 18000)) + rng.standard_normal(18000),
                         rng.normal(3.0, 1.0, 2000)])
@@ -47,6 +48,8 @@ def write_inputs(outdir: str):
     files = {
         "stats.csv": "id,statistic\n" + "\n".join(rows) + "\n",
         "stats.txt": "\n".join(map(repr, z.tolist())) + "\n",
+        # rows whose c-stbh threshold at tau = 0.7 is not (p / tau) * tau
+        "stats-head.csv": "id,statistic\n" + "\n".join(rows[:850]) + "\n",
         # the same column named twice: the second cell holds other numbers
         "dup.csv": "id,statistic,statistic\n" + "".join(
             f"g{i},{v!r},{-v!r}\n" for i, v in enumerate(z[:200].tolist())),
@@ -68,6 +71,9 @@ def write_inputs(outdir: str):
     files["matrix.csv"] = ("id," + ",".join(names) + "\n"
                            + "".join(f"r{i}," + ",".join(row) + "\n"
                                      for i, row in enumerate(cells)))
+    files["matrix-dup.csv"] = ("id," + ",".join(["a1", *names[1:3], "a1", *names[4:]]) + "\n"
+                               + "".join(f"r{i}," + ",".join(row) + "\n"
+                                         for i, row in enumerate(cells[:50])))
     for name, text in files.items():
         with open(os.path.join(outdir, name), "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -82,6 +88,9 @@ def runs():
         ("fit-null-plain", ["fit-null", "--input", "stats.txt"]),
         ("test-default", ["test", "--input", "stats.csv"]),
         ("test-all", ["test", "--input", "stats.csv", *every]),
+        # tau not a power of two: the threshold is the largest rejected p-value
+        ("test-c-stbh-tau", ["test", "--input", "stats-head.csv", "--method", "c-stbh",
+                             "--tau", "0.7"]),
         ("histogram", ["histogram", "--input", "stats.txt"]),
         ("simulate", ["simulate", "--n-reps", "20", "--seed", "3", *every]),
         ("tstats-welch", ["tstats", "--input", "matrix.csv", *groups]),
@@ -92,6 +101,7 @@ def runs():
         # a bad setting is reported before the input is found missing
         ("err-bad-q-missing-file", ["test", "--input", "missing.txt", "--q", "1.5"]),
         ("err-k1", ["fit-null", "--input", "stats.csv", "--k", "1"]),
+        ("err-k1-missing-file", ["fit-null", "--input", "missing.txt", "--k", "1"]),
         ("err-k-not-int", ["fit-null", "--input", "stats.csv", "--k", "lots"]),
         ("err-xi-quantile", ["fit-null", "--input", "stats.csv", "--xi-quantile", "2"]),
         ("err-missing-file", ["fit-null", "--input", "missing.txt"]),
@@ -105,8 +115,11 @@ def runs():
         ("err-bad-grid", ["simulate", "--rho-grid", "x", "--n-reps", "1"]),
         ("err-simulate-tau", ["simulate", "--rho-grid", "0.8", "--n-reps", "1",
                               "--method", "c-stbh", "--tau", "2"]),
+        ("err-simulate-q", ["simulate", "--rho-grid", "0.8", "--n-reps", "1", "--q", "1.5"]),
         ("err-tstats-column", ["tstats", "--input", "matrix.csv",
                                "--group-a", "a1,zz", "--group-b", "b1,b2"]),
+        ("err-tstats-dup-header", ["tstats", "--input", "matrix-dup.csv",
+                                   "--group-a", "a1,a2,a3", "--group-b", "b1,b2,b3,b4"]),
     ]
 
 
@@ -119,6 +132,10 @@ def main(argv=None) -> int:
     os.makedirs(outdir, exist_ok=True)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
+    # the runs start in OUTDIR, where a relative PYTHONPATH would find no ebnull
+    if "PYTHONPATH" in env:
+        env["PYTHONPATH"] = os.pathsep.join(map(os.path.abspath,
+                                                env["PYTHONPATH"].split(os.pathsep)))
     where = subprocess.run([sys.executable, "-c", "import ebnull; print(ebnull.__file__)"],
                            env=env, capture_output=True, text=True)
     print(f"ebnull: {where.stdout.strip() or where.stderr.strip()}")
