@@ -39,7 +39,6 @@ from .procedures import (
 from .pvalues import (
     PValueVector,
     eb_pvalues,
-    oracle_pvalues,
     standard_pvalues,
 )
 from .simulate import (
@@ -73,7 +72,6 @@ __all__ = [
     # p-values
     "PValueVector",
     "eb_pvalues",
-    "oracle_pvalues",
     "standard_pvalues",
     # procedures
     "ErrorMetrics",

@@ -29,7 +29,7 @@ import numpy as np
 from scipy import special
 
 from . import __version__
-from .nullmodel import NullModel, StatSample, TruncationRule, _check_k, select_null
+from .nullmodel import _GRID_K, NullModel, StatSample, TruncationRule, select_null
 from .procedures import storey_pi0
 from .pvalues import eb_pvalues, standard_pvalues
 from .simulate import (
@@ -249,19 +249,19 @@ def _fit_block(model: NullModel) -> dict:
 
 
 def _fit(args) -> tuple[StatSample, NullModel]:
-    """The input's statistics and their fitted null.  ``--xi-quantile``
-    (by the truncation rule) and ``--k`` (by the grid rule ``select_null``
-    applies) are checked before the file is read."""
+    """The input's statistics and their fitted null, on ``select_null``'s
+    default grid of ``_GRID_K`` atoms, the ``k`` each config block reports.
+    ``--xi-quantile`` is checked, by the truncation rule, before the file
+    is read."""
     rule = TruncationRule(quantile_level=args.xi_quantile)
-    _check_k(args.k)
     sample = ingest_statistics(args.input)
-    return sample, select_null(sample, rule, k=args.k)
+    return sample, select_null(sample, rule)
 
 
 def cmd_fit_null(args) -> int:
     _, model = _fit(args)
     report = _fit_block(model)
-    report["config"] = _config(args, "input", "xi_quantile", "k")
+    report["config"] = _config(args, "input", "xi_quantile", "k", k=_GRID_K)
     _json_report(report, args.output)
     return 0
 
@@ -290,7 +290,8 @@ def cmd_test(args) -> int:
 
     report = {
         "config": _config(args, "input", "q", "methods", "tau", "lambda_storey",
-                          "lambda_discard", "xi_quantile", "k", methods=list(methods)),
+                          "lambda_discard", "xi_quantile", "k", methods=list(methods),
+                          k=_GRID_K),
         "fit": _fit_block(model),
         "methods": {
             method: {
@@ -343,7 +344,7 @@ def cmd_simulate(args) -> int:
     config = _config(args, "methods", "q", "n_reps", "seed", "rho_grid", "sigma0_grid",
                      "tau", "lambda_storey", "lambda_discard", "xi_quantile", "k",
                      methods=list(methods), rho_grid=list(rho_grid),
-                     sigma0_grid=list(sigma0_grid))
+                     sigma0_grid=list(sigma0_grid), k=_GRID_K)
     buf = io.StringIO()
     buf.write("# config: " + json.dumps(config, default=_json_default) + "\n")
     buf.write("scenario,param,method,fdr,fdr_se,tpr,tpr_se,n_reps,seed\n")
@@ -358,7 +359,6 @@ def cmd_simulate(args) -> int:
             lambda_storey=args.lambda_storey,
             lambda_discard=args.lambda_discard,
             xi_quantile=args.xi_quantile,
-            mixture_k=args.k,
         )
         for method in methods:
             stats = summary.methods[method]
@@ -379,7 +379,8 @@ def cmd_histogram(args) -> int:
     sample, model = _fit(args)
     p_eb = eb_pvalues(sample, model)
     report = {
-        "config": _config(args, "input", "bins", "lambda_storey", "xi_quantile", "k"),
+        "config": _config(args, "input", "bins", "lambda_storey", "xi_quantile", "k",
+                          k=_GRID_K),
         "edges": np.linspace(0.0, 1.0, args.bins + 1),
         "p_std_counts": pvalue_histogram(standard_pvalues(sample), args.bins),
         "p_eb_counts": pvalue_histogram(p_eb, args.bins),
@@ -420,7 +421,7 @@ def cmd_tstats(args) -> int:
     names = group_a + group_b
     for name in names:
         if name not in header:
-            raise CLIError(f"column {name!r} not found in {args.input}")
+            raise CLIError(f"line {first[0]}: column {name!r} not found in {args.input}")
     # a column read twice would give a wrong t without any other sign
     cols = []
     for name in names:
@@ -491,8 +492,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_fit_flags(sub):
     sub.add_argument("--xi-quantile", type=float, default=0.85,
                      help="sample quantile for the truncation cut")
-    sub.add_argument("--k", type=int, default=50,
-                     help="number of mixture grid atoms")
 
 
 def _add_method_flags(sub):

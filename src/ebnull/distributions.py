@@ -38,9 +38,7 @@ def skew_normal_cdf(x, sigma0):
     -sigma0, so the value is Phi(t) - 2 T(t, -sigma0) at
     t = x / sqrt(1 + sigma0^2).  Owen's T supplies the skew correction
     exactly; the result is clipped to [0, 1] to absorb the last-digit
-    wobble of the subtraction.  sigma0 is squared as the skew-normal fit
-    squares it, since the fit evaluates this expression, on floats, for its
-    truncation mass.
+    wobble of the subtraction.
     """
     x = np.asarray(x, dtype=float)
     t = x / math.sqrt(1.0 + sigma0 * sigma0)

@@ -30,7 +30,7 @@ from scipy import special
 from scipy.linalg import solve_triangular
 from scipy.optimize import brentq, minimize_scalar, nnls
 
-from .distributions import _LOG_2PI, mills_ratio, skew_normal_sf
+from .distributions import _LOG_2PI, mills_ratio, skew_normal_cdf, skew_normal_sf
 
 # relative margin a richer family's log-likelihood must exceed to win
 TIE_RTOL = 1e-9
@@ -39,14 +39,19 @@ TIE_RTOL = 1e-9
 _ETA_MIN = -6.0
 _ETA_MAX = 3.0
 
+# the number of mixture grid atoms, the one grid size every caller uses
+_GRID_K = 50
+
 # mixture weight solver: the relative KKT gap that counts as converged, the
 # Hessian ridge relative to each diagonal entry, the Armijo sufficient-
-# decrease fraction, the smallest step tried, and the cap on SQP steps
+# decrease fraction, the smallest step tried, the cap on SQP steps, and the
+# least share of its density a step may leave any statistic
 _MIX_TOL = 1e-10
 _MIX_RIDGE = 1e-10
 _MIX_ARMIJO = 0.01
 _MIX_MIN_STEP = 1e-10
 _MIX_MAX_ITER = 200
+_MIX_KEEP = 1e-12
 
 # the log-likelihood, in nats, the mixture's tail bound gives up: half the
 # median of chi-square(1), so the bound is the upper end of a 50% profile-
@@ -302,10 +307,7 @@ def _skew_loglik(eta, z0, xi, n, sum_zz):
         - 0.5 * sum_zz / (omega * omega)
         + float(special.log_ndtr(-sigma0 * z0 / omega).sum())
     )
-    # the truncation mass: skew_normal_cdf's expression, evaluated on floats
-    t = xi / omega
-    cdf_xi = min(float(special.ndtr(t) - 2.0 * special.owens_t(t, -sigma0)), 1.0)
-    return ll - n * math.log(max(cdf_xi, 1e-300))
+    return ll - n * math.log(max(float(skew_normal_cdf(xi, sigma0)), 1e-300))
 
 
 def fit_skew_normal(sample, xi: float) -> SkewNormalNull:
@@ -366,9 +368,12 @@ def _solve_weights_mixsqp(A):
     the quadratic model with Hessian (A u)'(A u) / n, u = 1 / (Ax), as a
     non-negative least-squares problem on its Cholesky factor, takes a
     backtracking Armijo step toward that solution, and rescales x onto the
-    simplex, which never raises f.  The loop stops when the relative KKT
-    gap ``max_k (A'u)_k / n - 1`` falls to ``_MIX_TOL``, when a step makes
-    no progress, or after ``_MIX_MAX_ITER`` steps.  Returns the weights x,
+    simplex, which never raises f.  The first step tried is 1, or less when
+    a full step would leave some (Ax)_i less than ``_MIX_KEEP`` of its
+    value, so no step sends a density to 0 and every log stays finite.
+    The loop stops when the relative KKT gap ``max_k (A'u)_k / n - 1``
+    falls to ``_MIX_TOL``, when a step makes no progress, or after
+    ``_MIX_MAX_ITER`` steps.  Returns the weights x,
     the fitted densities Ax, the step count, the gap in nats (n times the
     relative gap, a bound on the log-likelihood still to gain) and whether
     the gap met the tolerance.
@@ -411,13 +416,14 @@ def _solve_weights_mixsqp(A):
         # f(x + step p) - f(x), summed from the relative change of each
         # (Ax)_i so that the large log terms do not cancel
         ratio = (A @ p) * u
-        step = 1.0
-        with np.errstate(divide="ignore"):
-            while (-np.log1p(step * ratio).sum() / n + step * p.sum()
-                   > _MIX_ARMIJO * step * slope):
-                step *= 0.5
-                if step < _MIX_MIN_STEP:
-                    break
+        # a full step can read a ratio of -1 as -1 + 1e-16 and send that
+        # density to 0, so the step keeps at least _MIX_KEEP of each
+        step = min(1.0, (1.0 - _MIX_KEEP) / max(-float(ratio.min()), _MIX_KEEP))
+        while (-np.log1p(step * ratio).sum() / n + step * p.sum()
+               > _MIX_ARMIJO * step * slope):
+            step *= 0.5
+            if step < _MIX_MIN_STEP:
+                break
         if step < _MIX_MIN_STEP:
             break
         x = x + step * p
@@ -427,13 +433,13 @@ def _solve_weights_mixsqp(A):
     return x, d, iterations, gap * n, gap <= _MIX_TOL
 
 
-def fit_mixture(sample, xi: float, k: int = 50) -> MixtureNull:
+def fit_mixture(sample, xi: float, k: int = _GRID_K) -> MixtureNull:
     """Fit mixture weights on a fixed grid of non-positive atoms.
 
-    The grid places ``k`` equally spaced atoms from the sample minimum up
-    to 0.  The optimization runs in the truncation-tilted weight
-    coordinates (a concave program over the simplex); the plain mixing
-    weights are recovered by undoing the tilt.
+    The grid places ``k`` (by default ``_GRID_K``, 50) equally spaced
+    atoms from the sample minimum up to 0.  The optimization runs in the
+    truncation-tilted weight coordinates (a concave program over the
+    simplex); the plain mixing weights are recovered by undoing the tilt.
 
     The weights come from sequential quadratic programming (mixsqp) from
     the uniform start: each step solves a non-negative quadratic model of
@@ -507,7 +513,7 @@ def _beats(challenger: float, incumbent: float) -> bool:
     return challenger - incumbent > TIE_RTOL * max(1.0, abs(incumbent))
 
 
-def select_null(sample, rule: TruncationRule | None = None, k: int = 50) -> NullModel:
+def select_null(sample, rule: TruncationRule | None = None, k: int = _GRID_K) -> NullModel:
     """Fit all three null families on the same truncated subsample and keep
     the one with the largest log-likelihood.
 

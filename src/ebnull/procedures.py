@@ -83,7 +83,10 @@ def _step_up(vals: np.ndarray, q: float, pi0: float, procedure: str,
     """
     m = vals.size
     ordered = np.sort(vals if scan is None else scan)
-    fdp_hat = m * pi0 * ordered / np.arange(1, ordered.size + 1)
+    # pi0 = inf (d-stbh with tau - lam near 0) gives an exact zero the
+    # estimate NaN, which fails the test; the zero is rejected all the same
+    with np.errstate(invalid="ignore"):
+        fdp_hat = m * pi0 * ordered / np.arange(1, ordered.size + 1)
     passing = np.flatnonzero(fdp_hat <= q)
     thr = float(ordered[passing[-1]]) if passing.size else 0.0
     return RejectionResult(rejected=np.flatnonzero(vals <= thr), threshold=thr,
@@ -163,7 +166,8 @@ def d_storey_bh(
     m = vals.size
     if m == 0:
         raise ValueError("cannot run the discarding procedure on an empty vector")
-    pi0 = float((1.0 + ((vals > lam) & (vals <= tau)).sum()) / (m * (tau - lam)))
+    # in Python floats, which overflow to inf without a warning
+    pi0 = (1.0 + int(((vals > lam) & (vals <= tau)).sum())) / (m * (tau - lam))
     return _step_up(vals, q, pi0, "d-stbh", scan=vals[vals <= tau])
 
 

@@ -1,9 +1,8 @@
 """P-value construction for one-sided z-statistics.
 
 Every p-value is P(Z >= z), read off a null law's survival function: the
-unit Gaussian's for the textbook p-values, the true marginal null's (known
-only in simulations) for the oracle ones, and a fitted null model's for the
-empirical-Bayes ones.  All three share one container, whose checks every
+unit Gaussian's for the textbook p-values and a fitted null model's for the
+empirical-Bayes ones.  Both share one container, whose checks every
 consumer applies to raw vectors too, through ``_as_pvalues``.
 """
 
@@ -44,17 +43,6 @@ def standard_pvalues(sample) -> PValueVector:
     """One-sided p-values Phi(-z) against the unit Gaussian null."""
     z = _as_values(sample)
     return PValueVector(values=special.ndtr(-z))
-
-
-def oracle_pvalues(sample, true_null_sf) -> PValueVector:
-    """P-values P(Z >= z) under a known marginal null law.
-
-    ``true_null_sf`` is any vectorized callable returning the null survival
-    function, such as a prior's ``marginal_sf``; only simulations can
-    supply it.
-    """
-    z = _as_values(sample)
-    return PValueVector(values=np.clip(true_null_sf(z), 0.0, 1.0))
 
 
 def eb_pvalues(sample, model: NullModel) -> PValueVector:

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .distributions import skew_normal_sf
-from .nullmodel import StatSample, TruncationRule, _check_k, select_null
+from .nullmodel import StatSample, TruncationRule, select_null
 from .procedures import (
     RejectionResult,
     _check_q,
@@ -222,16 +222,14 @@ def run_scenario(
     lambda_storey: float = 0.5,
     lambda_discard: float = 0.25,
     xi_quantile: float = 0.85,
-    mixture_k: int = 50,
 ) -> SimSummary:
     """Run every replication of a scenario and aggregate error rates.
 
     Every method name and setting is checked before the first replication
     is drawn: an unknown method or an invalid ``tau``, ``lambda_storey``,
-    ``lambda_discard`` (through ``check_methods``) or ``xi_quantile``, and
-    ``mixture_k`` when "proposed" is requested (by ``select_null``'s grid
-    rule), raises ``ValueError``.  The null is fitted, once per
-    replication, only when "proposed" is requested.
+    ``lambda_discard`` (through ``check_methods``) or ``xi_quantile``
+    raises ``ValueError``.  The null is fitted with ``select_null``'s
+    default grid, once per replication, only when "proposed" is requested.
     A replication whose null fit or fitted-null p-values raise
     ``ValueError`` (``select_null`` raises it when every family fails) is
     dropped for all methods (keeping the per-method averages paired) and
@@ -242,8 +240,6 @@ def run_scenario(
     check_methods(methods, scenario.q, tau, lambda_storey, lambda_discard)
     rule = TruncationRule(quantile_level=xi_quantile)
     fit_null = "proposed" in methods
-    if fit_null:
-        _check_k(mixture_k)
     rows = {method: ([], []) for method in methods}  # fdp list, tpp list
     failures = 0
     for rep in range(scenario.n_reps):
@@ -251,7 +247,7 @@ def run_scenario(
         p_eb = None
         if fit_null:
             try:
-                p_eb = eb_pvalues(sample, select_null(sample, rule, k=mixture_k))
+                p_eb = eb_pvalues(sample, select_null(sample, rule))
             except ValueError:
                 failures += 1  # failed reps are tallied, not fatal
                 continue

@@ -194,14 +194,16 @@ def test_fit_null_to_stdout(stats_file, capsys):
     assert report["n_truncated"] == 850
 
 
-def test_fit_null_rejects_single_atom_grid(stats_file, capsys):
-    # a one-atom grid is an error, not a silently dropped mixture family
-    assert main(["fit-null", "--input", stats_file, "--k", "1"]) == 1
+def test_fit_null_has_no_grid_size_flag(stats_file, capsys):
+    # the mixture grid has one size, so the parser refuses --k as unknown
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fit-null", "--input", stats_file, "--k", "1"])
+    assert excinfo.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1
-    assert "grid atoms" in json.loads(lines[0])["error"]
+    assert "--k" in json.loads(lines[0])["error"]
 
 
 def test_fit_null_report_is_strict_json(tmp_path):
@@ -583,6 +585,13 @@ def test_tstats_parse_error_names_the_file_line(tmp_path, capsys):
     assert _tstats_error(tmp_path, capsys, text) == "line 4: value must be finite, got 'inf'"
 
 
+def test_tstats_missing_group_column_names_the_header_line(tmp_path, capsys):
+    # like every other reader error, the header's 1-based line comes first
+    text = "# exported matrix\n\nid,x1,x2,y1\nr0,1,2,3\n"
+    assert _tstats_error(tmp_path, capsys, text) == (
+        f"line 3: column 'y2' not found in {tmp_path / 'm.csv'}")
+
+
 def test_tstats_skips_comment_lines(tmp_path, capsys):
     text = "# exported matrix\n" + _MATRIX_HEAD + "r0,1,2,3,5\n# midway\nr1,2,4,1,2\n"
     assert _tstats(tmp_path, text) == 0
@@ -684,11 +693,8 @@ def test_tstats_then_test_rejects_nothing_on_null_matrix(tmp_path, capsys):
     (["test", "--lambda-discard", "0.7"], "need 0 <= lambda < tau <= 1"),
     (["histogram", "--lambda-storey", "1.5"], "lambda must lie in [0, 1)"),
     (["fit-null", "--xi-quantile", "2"], "quantile level must lie in (0, 1)"),
-    (["fit-null", "--k", "1"], "need at least 2 grid atoms"),
-    (["test", "--k", "1"], "need at least 2 grid atoms"),
-    (["histogram", "--k", "1"], "need at least 2 grid atoms"),
 ], ids=["test-q", "test-tau", "test-lambda-discard", "histogram-lambda-storey",
-        "fit-null-xi-quantile", "fit-null-k", "test-k", "histogram-k"])
+        "fit-null-xi-quantile"])
 def test_bad_setting_stops_before_the_input_is_read(tmp_path, capsys, monkeypatch,
                                                     argv, error):
     # the input is missing too: the setting is reported, and no file is read
@@ -726,5 +732,5 @@ def test_unknown_subcommand_exits_2(capsys):
 
 def test_bad_flag_value_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
-        main(["fit-null", "--input", "x", "--k", "lots"])
+        main(["histogram", "--input", "x", "--bins", "lots"])
     assert excinfo.value.code == 2

@@ -2,22 +2,22 @@
 
 import warnings
 
-import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
 from ebnull.nullmodel import GaussianNull, MixtureNull, NullModel, StatSample, select_null
 from ebnull.procedures import bh, c_storey_bh, d_storey_bh, storey_bh, storey_pi0
-from ebnull.pvalues import (
-    PValueVector,
-    eb_pvalues,
-    oracle_pvalues,
-    standard_pvalues,
+from ebnull.pvalues import PValueVector, eb_pvalues, standard_pvalues
+from ebnull.simulate import (
+    HalfNormalPrior,
+    SimScenario,
+    TwoPointPrior,
+    generate,
+    pvalue_histogram,
 )
-from ebnull.simulate import TwoPointPrior, pvalue_histogram
 
 
 def test_standard_pvalues_values():
@@ -34,30 +34,6 @@ def test_standard_pvalues_decreasing_in_z():
     z = np.sort(rng.normal(size=100))
     p = standard_pvalues(StatSample(values=z))
     assert np.all(np.diff(p.values) <= 0.0)
-
-
-def test_oracle_pvalues_uses_supplied_cdf():
-    # the supplied law is read through its survival function, clipped to [0, 1]
-    s = StatSample(values=[-1.0, 0.5, 2.0])
-    p = oracle_pvalues(s, lambda z: norm.sf(z, loc=-1.0))
-    expected = 1.0 - norm.cdf(s.values, loc=-1.0)
-    np.testing.assert_allclose(p.values, expected, rtol=1e-12)
-    assert oracle_pvalues(s, lambda z: z).values.tolist() == [0.0, 0.5, 1.0]
-
-
-def test_oracle_pvalues_two_point_match_mpmath_in_the_tail():
-    # P(Z >= z) for Z ~ rho N(-1, 1) + (1 - rho) N(0, 1), at 50 digits;
-    # 1 - F0(z) reads 0 here from z of about 8.3
-    rho = 0.5
-    z = np.linspace(-5.0, 35.0, 81)
-    p = oracle_pvalues(StatSample(values=z), TwoPointPrior(rho).marginal_sf)
-    with mpmath.workdps(50):
-        def tail(t, mu):
-            return mpmath.erfc((mpmath.mpf(t) - mu) / mpmath.sqrt(2)) / 2
-        want = np.array([float(rho * tail(t, -1) + (1 - rho) * tail(t, 0))
-                         for t in z.tolist()])
-    assert np.all(p.values > 0.0)
-    np.testing.assert_allclose(p.values, want, rtol=1e-10, atol=0.0)
 
 
 def test_eb_pvalues_from_fitted_model():
@@ -158,6 +134,34 @@ def test_fitted_pvalues_feed_every_procedure(z):
             model = select_null(z)
         except ValueError:
             return
+        p = eb_pvalues(z, model)
+        assert np.all((p.values >= 0.0) & (p.values <= 1.0))
+        for procedure in (bh, storey_bh, c_storey_bh, d_storey_bh):
+            rejected = procedure(p, 0.1).rejected
+            assert np.all(np.diff(rejected) > 0)
+            assert np.all((rejected >= 0) & (rejected < len(z)))
+
+
+# one to three null statistics far below the rest, |z| from 10 to 1e6
+_priors = st.one_of(st.floats(0.0, 1.0).map(TwoPointPrior),
+                    st.floats(1.0, 2.0).map(HalfNormalPrior))
+_far_left = st.lists(st.floats(1.0, 6.0).map(lambda e: -(10.0 ** e)), min_size=1, max_size=3)
+
+
+@settings(max_examples=50, deadline=None)
+@given(m=st.integers(500, 2000), seed=st.integers(0, 2**32 - 1), prior=_priors,
+       far=_far_left)
+@example(m=1000, seed=0, prior=TwoPointPrior(0.8), far=[-100.0])
+def test_far_left_statistics_keep_the_mixture_fit(m, seed, prior, far):
+    # a far statistic must not break the mixture fit: a failed fit hands the
+    # selection to a worse family, and FDR control with it; and no warning
+    # escapes
+    scenario = SimScenario(null_prior=prior, m=m, n_reps=1, base_seed=seed)
+    z = np.append(generate(scenario, 0).values, far)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = select_null(z)
+        assert model.family_logliks["mixture"] is not None
         p = eb_pvalues(z, model)
         assert np.all((p.values >= 0.0) & (p.values <= 1.0))
         for procedure in (bh, storey_bh, c_storey_bh, d_storey_bh):

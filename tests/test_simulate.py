@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -47,6 +48,21 @@ def test_two_point_prior_degenerate_ends():
     rng = np.random.default_rng(1)
     assert np.all(TwoPointPrior(rho=0.0).draw(rng, 100) == 0.0)
     assert np.all(TwoPointPrior(rho=1.0).draw(rng, 100) == -1.0)
+
+
+def test_two_point_marginal_sf_matches_mpmath_in_the_tail():
+    # P(Z >= z) for Z ~ rho N(-1, 1) + (1 - rho) N(0, 1), at 50 digits;
+    # 1 - F0(z) reads 0 here from z of about 8.3
+    rho = 0.5
+    z = np.linspace(-5.0, 35.0, 81)
+    p = TwoPointPrior(rho).marginal_sf(z)
+    with mpmath.workdps(50):
+        def tail(t, mu):
+            return mpmath.erfc((mpmath.mpf(t) - mu) / mpmath.sqrt(2)) / 2
+        want = np.array([float(rho * tail(t, -1) + (1 - rho) * tail(t, 0))
+                         for t in z.tolist()])
+    assert np.all(p > 0.0)
+    np.testing.assert_allclose(p, want, rtol=1e-10, atol=0.0)
 
 
 def test_half_normal_prior_draws_match_closed_form_moments():
@@ -185,15 +201,6 @@ def test_run_scenario_rejects_unknown_method():
         run_scenario(scenario, methods=("bh", "mystery"))
 
 
-def test_run_scenario_validates_k_up_front():
-    scenario = SimScenario(null_prior=TwoPointPrior(0.5), m=100, n_reps=1)
-    with pytest.raises(ValueError, match="grid atoms"):
-        run_scenario(scenario, methods=("bh", "proposed"), mixture_k=1)
-    # without the fitted null the grid size is never used
-    summary = run_scenario(scenario, methods=("bh",), mixture_k=1)
-    assert summary.n_failures == 0
-
-
 def _record_draws(monkeypatch) -> list:
     """The replication indices ``run_scenario`` draws from now on."""
     drawn = []
@@ -239,6 +246,9 @@ _setting = st.one_of(st.floats(min_value=-0.5, max_value=1.5), st.just(math.nan)
 # c-stbh once checked lambda only when some p-value lay at or below tau
 @example(methods=["c-stbh"], p=[0.9, 0.8], q=0.1, tau=0.5, lambda_storey=1.5,
          lambda_discard=0.25)
+# d-stbh's pi0 once overflowed with a warning when tau - lambda was subnormal
+@example(methods=["d-stbh"], p=[0.0], q=0.5, tau=5e-324, lambda_storey=math.nan,
+         lambda_discard=0.0)
 @given(methods=st.lists(st.sampled_from(METHOD_NAMES), max_size=6),
        p=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=20),
        q=_setting, tau=_setting, lambda_storey=_setting, lambda_discard=_setting)

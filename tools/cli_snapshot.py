@@ -34,10 +34,11 @@ def _csv_cell(text: str) -> str:
 
 
 def write_inputs(outdir: str):
-    """Statistics as a 2e4-row CSV, as a plain file and as the CSV's first
-    850 rows, a 3000-row two-group matrix with blank and NA cells, and the
-    inputs of the failing runs, among them the matrix's first rows under a
-    header that names a group column twice."""
+    """Statistics as a 2e4-row CSV, as a plain file, as the CSV's first
+    850 rows and as the CSV plus one row at -100, a 3000-row two-group
+    matrix with blank and NA cells, and the inputs of the failing runs,
+    among them the matrix's first rows under a header that names a group
+    column twice."""
     rng = np.random.default_rng(20240)
     z = np.concatenate([-np.abs(rng.normal(0.0, 1.5, 18000)) + rng.standard_normal(18000),
                         rng.normal(3.0, 1.0, 2000)])
@@ -50,6 +51,9 @@ def write_inputs(outdir: str):
         "stats.txt": "\n".join(map(repr, z.tolist())) + "\n",
         # rows whose c-stbh threshold at tau = 0.7 is not (p / tau) * tau
         "stats-head.csv": "id,statistic\n" + "\n".join(rows[:850]) + "\n",
+        # one statistic far below the rest: no mixsqp step may send its
+        # density to 0
+        "stats-far.csv": "id,statistic\n" + "\n".join(rows) + "\nfar,-100.0\n",
         # the same column named twice: the second cell holds other numbers
         "dup.csv": "id,statistic,statistic\n" + "".join(
             f"g{i},{v!r},{-v!r}\n" for i, v in enumerate(z[:200].tolist())),
@@ -91,6 +95,8 @@ def runs():
         # tau not a power of two: the threshold is the largest rejected p-value
         ("test-c-stbh-tau", ["test", "--input", "stats-head.csv", "--method", "c-stbh",
                              "--tau", "0.7"]),
+        ("fit-null-far", ["fit-null", "--input", "stats-far.csv"]),
+        ("test-far", ["test", "--input", "stats-far.csv"]),
         ("histogram", ["histogram", "--input", "stats.txt"]),
         ("simulate", ["simulate", "--n-reps", "20", "--seed", "3", *every]),
         ("tstats-welch", ["tstats", "--input", "matrix.csv", *groups]),
@@ -100,6 +106,7 @@ def runs():
         ("err-lambda-discard", ["test", "--input", "stats.csv", "--lambda-discard", "0.7"]),
         # a bad setting is reported before the input is found missing
         ("err-bad-q-missing-file", ["test", "--input", "missing.txt", "--q", "1.5"]),
+        # the grid size is no flag: the parser refuses --k in every form
         ("err-k1", ["fit-null", "--input", "stats.csv", "--k", "1"]),
         ("err-k1-missing-file", ["fit-null", "--input", "missing.txt", "--k", "1"]),
         ("err-k-not-int", ["fit-null", "--input", "stats.csv", "--k", "lots"]),
