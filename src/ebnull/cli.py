@@ -261,7 +261,7 @@ def _fit(args) -> tuple[StatSample, NullModel]:
 def cmd_fit_null(args) -> int:
     _, model = _fit(args)
     report = _fit_block(model)
-    report["config"] = _config(args, "input", "xi_quantile", "k", k=_GRID_K)
+    report["config"] = _config(args, "input", "xi_quantile", "k")
     _json_report(report, args.output)
     return 0
 
@@ -290,8 +290,7 @@ def cmd_test(args) -> int:
 
     report = {
         "config": _config(args, "input", "q", "methods", "tau", "lambda_storey",
-                          "lambda_discard", "xi_quantile", "k", methods=list(methods),
-                          k=_GRID_K),
+                          "lambda_discard", "xi_quantile", "k", methods=list(methods)),
         "fit": _fit_block(model),
         "methods": {
             method: {
@@ -344,7 +343,7 @@ def cmd_simulate(args) -> int:
     config = _config(args, "methods", "q", "n_reps", "seed", "rho_grid", "sigma0_grid",
                      "tau", "lambda_storey", "lambda_discard", "xi_quantile", "k",
                      methods=list(methods), rho_grid=list(rho_grid),
-                     sigma0_grid=list(sigma0_grid), k=_GRID_K)
+                     sigma0_grid=list(sigma0_grid))
     buf = io.StringIO()
     buf.write("# config: " + json.dumps(config, default=_json_default) + "\n")
     buf.write("scenario,param,method,fdr,fdr_se,tpr,tpr_se,n_reps,seed\n")
@@ -379,8 +378,7 @@ def cmd_histogram(args) -> int:
     sample, model = _fit(args)
     p_eb = eb_pvalues(sample, model)
     report = {
-        "config": _config(args, "input", "bins", "lambda_storey", "xi_quantile", "k",
-                          k=_GRID_K),
+        "config": _config(args, "input", "bins", "lambda_storey", "xi_quantile", "k"),
         "edges": np.linspace(0.0, 1.0, args.bins + 1),
         "p_std_counts": pvalue_histogram(standard_pvalues(sample), args.bins),
         "p_eb_counts": pvalue_histogram(p_eb, args.bins),
@@ -492,6 +490,8 @@ class _Parser(argparse.ArgumentParser):
 def _add_fit_flags(sub):
     sub.add_argument("--xi-quantile", type=float, default=0.85,
                      help="sample quantile for the truncation cut")
+    # the grid size is no flag; the config blocks report the library's
+    sub.set_defaults(k=_GRID_K)
 
 
 def _add_method_flags(sub):

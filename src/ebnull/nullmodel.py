@@ -44,14 +44,12 @@ _GRID_K = 50
 
 # mixture weight solver: the relative KKT gap that counts as converged, the
 # Hessian ridge relative to each diagonal entry, the Armijo sufficient-
-# decrease fraction, the smallest step tried, the cap on SQP steps, and the
-# least share of its density a step may leave any statistic
+# decrease fraction, the smallest step tried, and the cap on SQP steps
 _MIX_TOL = 1e-10
 _MIX_RIDGE = 1e-10
 _MIX_ARMIJO = 0.01
 _MIX_MIN_STEP = 1e-10
 _MIX_MAX_ITER = 200
-_MIX_KEEP = 1e-12
 
 # the log-likelihood, in nats, the mixture's tail bound gives up: half the
 # median of chi-square(1), so the bound is the upper end of a 50% profile-
@@ -368,12 +366,9 @@ def _solve_weights_mixsqp(A):
     the quadratic model with Hessian (A u)'(A u) / n, u = 1 / (Ax), as a
     non-negative least-squares problem on its Cholesky factor, takes a
     backtracking Armijo step toward that solution, and rescales x onto the
-    simplex, which never raises f.  The first step tried is 1, or less when
-    a full step would leave some (Ax)_i less than ``_MIX_KEEP`` of its
-    value, so no step sends a density to 0 and every log stays finite.
-    The loop stops when the relative KKT gap ``max_k (A'u)_k / n - 1``
-    falls to ``_MIX_TOL``, when a step makes no progress, or after
-    ``_MIX_MAX_ITER`` steps.  Returns the weights x,
+    simplex, which never raises f.  The loop stops when the relative KKT
+    gap ``max_k (A'u)_k / n - 1`` falls to ``_MIX_TOL``, when a step makes
+    no progress, or after ``_MIX_MAX_ITER`` steps.  Returns the weights x,
     the fitted densities Ax, the step count, the gap in nats (n times the
     relative gap, a bound on the log-likelihood still to gain) and whether
     the gap met the tolerance.
@@ -416,14 +411,13 @@ def _solve_weights_mixsqp(A):
         # f(x + step p) - f(x), summed from the relative change of each
         # (Ax)_i so that the large log terms do not cancel
         ratio = (A @ p) * u
-        # a full step can read a ratio of -1 as -1 + 1e-16 and send that
-        # density to 0, so the step keeps at least _MIX_KEEP of each
-        step = min(1.0, (1.0 - _MIX_KEEP) / max(-float(ratio.min()), _MIX_KEEP))
-        while (-np.log1p(step * ratio).sum() / n + step * p.sum()
-               > _MIX_ARMIJO * step * slope):
-            step *= 0.5
-            if step < _MIX_MIN_STEP:
-                break
+        step = 1.0
+        with np.errstate(divide="ignore"):
+            while (-np.log1p(step * ratio).sum() / n + step * p.sum()
+                   > _MIX_ARMIJO * step * slope):
+                step *= 0.5
+                if step < _MIX_MIN_STEP:
+                    break
         if step < _MIX_MIN_STEP:
             break
         x = x + step * p

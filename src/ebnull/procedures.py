@@ -77,15 +77,15 @@ def _step_up(vals: np.ndarray, q: float, pi0: float, procedure: str,
     order; the threshold is 0.0 when none passes.
 
     At the last position of a tie k equals #{p <= s}, so this is the
-    largest passing candidate s of the count-based definition.  An exact
-    zero always passes, so rejecting ``vals <= 0.0`` after a 0.0 result
-    rejects nothing.
+    largest passing candidate s of the count-based definition.  For finite
+    pi0 an exact zero always passes, so rejecting ``vals <= 0.0`` after a
+    0.0 result rejects nothing more.  For pi0 = inf (d-stbh with tau - lam
+    near 0) a zero's estimate is NaN and nothing passes, and the 0.0 result
+    rejects exactly the zeros.
     """
     m = vals.size
     ordered = np.sort(vals if scan is None else scan)
-    # pi0 = inf (d-stbh with tau - lam near 0) gives an exact zero the
-    # estimate NaN, which fails the test; the zero is rejected all the same
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore"):  # inf * 0 when pi0 = inf
         fdp_hat = m * pi0 * ordered / np.arange(1, ordered.size + 1)
     passing = np.flatnonzero(fdp_hat <= q)
     thr = float(ordered[passing[-1]]) if passing.size else 0.0
@@ -167,7 +167,8 @@ def d_storey_bh(
     if m == 0:
         raise ValueError("cannot run the discarding procedure on an empty vector")
     # in Python floats, which overflow to inf without a warning
-    pi0 = (1.0 + int(((vals > lam) & (vals <= tau)).sum())) / (m * (tau - lam))
+    pi0 = ((1.0 + int(((vals > lam) & (vals <= tau)).sum()))
+           / (m * (float(tau) - float(lam))))
     return _step_up(vals, q, pi0, "d-stbh", scan=vals[vals <= tau])
 
 

@@ -7,6 +7,8 @@ implementations under test use sorted step-up computations.  Rejection
 sets must agree exactly.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -178,6 +180,18 @@ def test_d_storey_bh_worked_example():
     # candidate 0.01: 4 * 2 * 0.01 / 1 = 0.08 passes; 0.2 and 0.3 do not
     assert r.rejected.tolist() == [0]
     assert r.threshold == 0.01
+
+
+@pytest.mark.parametrize("tau", [5e-324, np.float64(5e-324)], ids=["float", "float64"])
+def test_d_storey_bh_pi0_overflows_quietly(tau):
+    # tau - lam subnormal: pi0 is inf, as a float whatever tau's type, with
+    # no warning, and only the exact zeros are rejected
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = d_storey_bh(np.array([0.0, 0.0, 0.5]), q=0.5, lam=0.0, tau=tau)
+    assert type(r.pi0_hat) is float and r.pi0_hat == np.inf
+    assert r.rejected.tolist() == [0, 1]
+    assert r.threshold == 0.0
 
 
 def test_d_storey_bh_validation():

@@ -51,8 +51,7 @@ def write_inputs(outdir: str):
         "stats.txt": "\n".join(map(repr, z.tolist())) + "\n",
         # rows whose c-stbh threshold at tau = 0.7 is not (p / tau) * tau
         "stats-head.csv": "id,statistic\n" + "\n".join(rows[:850]) + "\n",
-        # one statistic far below the rest: no mixsqp step may send its
-        # density to 0
+        # one statistic far below the rest, which stretches the mixture grid
         "stats-far.csv": "id,statistic\n" + "\n".join(rows) + "\nfar,-100.0\n",
         # the same column named twice: the second cell holds other numbers
         "dup.csv": "id,statistic,statistic\n" + "".join(
