@@ -95,7 +95,7 @@ _BLOCK_LINES = 8192
 def _data_lines(path: str):
     """(1-based line number, text) of each non-blank, non-``#`` line of ``path``."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # drops a leading BOM
             for lineno, line in enumerate(fh, start=1):
                 if (head := line.lstrip()) and head[0] != "#":
                     yield lineno, line.rstrip("\n")
@@ -103,22 +103,30 @@ def _data_lines(path: str):
         raise CLIError(f"cannot read {path}: {exc.strerror or exc}")
 
 
-def _split_row(text: str) -> list[str]:
-    """The cells of one line, by ``csv`` rules only where it holds a quote."""
-    return next(csv.reader([text])) if '"' in text else text.split(",")
+def _split_row(text: str, lineno: int) -> list[str]:
+    """The cells of line ``lineno``, by ``csv`` rules only where it holds a quote."""
+    try:
+        return next(csv.reader([text])) if '"' in text else text.split(",")
+    except csv.Error as exc:  # such as a quoted cell over csv's field-size limit
+        raise CLIError(f"line {lineno}: {exc}") from None
 
 
 def _csv_blocks(lines, width: int):
     """Line numbers and split rows of blocks of ``_BLOCK_LINES`` lines; a row
-    not ``width`` cells wide raises after the rows above it are handed out,
-    so a caller that parses each block reports faults in line order."""
+    that cannot be split or is not ``width`` cells wide raises after the rows
+    above it are handed out, so a block-by-block parse keeps line order."""
     while block := list(islice(lines, _BLOCK_LINES)):
-        linenos, texts = zip(*block)
-        rows = list(map(_split_row, texts))
-        bad = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
-        yield linenos[:bad], rows[:bad]
-        if bad < len(rows):
-            raise CLIError(f"line {linenos[bad]}: expected {width} fields, got {len(rows[bad])}")
+        linenos, rows = [lineno for lineno, _ in block], []
+        try:
+            for lineno, text in block:
+                row = _split_row(text, lineno)
+                if len(row) != width:
+                    raise CLIError(f"line {lineno}: expected {width} fields, got {len(row)}")
+                rows.append(row)
+        except CLIError:
+            yield linenos[: len(rows)], rows  # the rows above the fault, then the fault
+            raise
+        yield linenos, rows
 
 
 def _column(header: list[str], lineno: int, name: str) -> int | None:
@@ -145,7 +153,7 @@ def ingest_statistics(path: str) -> StatSample:
     try:
         float(_normalize_number(first[1]))
     except ValueError:
-        header = [cell.strip() for cell in _split_row(first[1])]
+        header = [cell.strip() for cell in _split_row(first[1], first[0])]
         if "statistic" not in header:
             raise CLIError(f"line {first[0]}: expected a number or a CSV header "
                            "with a 'statistic' column")
@@ -175,6 +183,9 @@ def _json_default(value) -> object:
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
+# every report's encoder: json.dumps(indent=2), but a NaN or inf raises ValueError
+_report_json = json.JSONEncoder(indent=2, default=_json_default, allow_nan=False).encode
+
 # how ``json.dumps`` (``ensure_ascii=True``) writes a string and a bool
 _json_string = json.encoder.encode_basestring_ascii
 _JSON_BOOLS = ("false", "true")
@@ -189,10 +200,6 @@ def _write_output(text: str, output: str | None):
                 fh.write(text)
         except OSError as exc:
             raise CLIError(f"cannot write {output}: {exc.strerror or exc}")
-
-
-def _json_report(payload: dict, output: str | None):
-    _write_output(json.dumps(payload, indent=2, default=_json_default) + "\n", output)
 
 
 def _records_json(ids, statistic, p_std, p_eb, masks: dict) -> str:
@@ -262,7 +269,7 @@ def cmd_fit_null(args) -> int:
     _, model = _fit(args)
     report = _fit_block(model)
     report["config"] = _config(args, "input", "xi_quantile", "k")
-    _json_report(report, args.output)
+    _write_output(_report_json(report) + "\n", args.output)
     return 0
 
 
@@ -294,15 +301,16 @@ def cmd_test(args) -> int:
         "fit": _fit_block(model),
         "methods": {
             method: {
-                "n_rejected": results[method].n_rejected,
-                "threshold": results[method].threshold,
-                "pi0_hat": results[method].pi0_hat,
+                "n_rejected": result.n_rejected,
+                "threshold": result.threshold,
+                # d-stbh's uncapped estimate overflows when tau - lambda is tiny
+                "pi0_hat": result.pi0_hat if np.isfinite(result.pi0_hat) else None,
             }
-            for method in methods
+            for method, result in results.items()
         },
         "records": [],
     }
-    head = json.dumps(report, indent=2, default=_json_default)
+    head = _report_json(report)
     records = _records_json(
         sample.ids or tuple(map(str, range(len(sample)))),
         sample.values,
@@ -315,7 +323,9 @@ def cmd_test(args) -> int:
     return 0
 
 
-def _parse_grid(text: str, name: str) -> tuple[float, ...]:
+def _parse_grid(text: str | None, name: str) -> tuple[float, ...]:
+    if text is None:
+        return ()
     try:
         values = tuple(float(_normalize_number(v)) for v in text.split(",") if v.strip())
     except ValueError:
@@ -327,15 +337,10 @@ def _parse_grid(text: str, name: str) -> tuple[float, ...]:
 
 def cmd_simulate(args) -> int:
     methods = _resolve_methods(args)
-    rho_grid = sigma0_grid = ()
-    if args.rho_grid is None and args.sigma0_grid is None:
-        rho_grid = DEFAULT_RHO_GRID
-        sigma0_grid = DEFAULT_SIGMA0_GRID
-    else:
-        if args.rho_grid is not None:
-            rho_grid = _parse_grid(args.rho_grid, "rho-grid")
-        if args.sigma0_grid is not None:
-            sigma0_grid = _parse_grid(args.sigma0_grid, "sigma0-grid")
+    rho_grid = _parse_grid(args.rho_grid, "rho-grid")
+    sigma0_grid = _parse_grid(args.sigma0_grid, "sigma0-grid")
+    if not rho_grid and not sigma0_grid:  # a grid given is never empty
+        rho_grid, sigma0_grid = DEFAULT_RHO_GRID, DEFAULT_SIGMA0_GRID
 
     priors = [TwoPointPrior(rho) for rho in rho_grid]
     priors += [HalfNormalPrior(s) for s in sigma0_grid]
@@ -386,7 +391,7 @@ def cmd_histogram(args) -> int:
         "xi": model.cut_xi,
         "pi0_hat": min(storey_pi0(p_eb, args.lambda_storey), 1.0),
     }
-    _json_report(report, args.output)
+    _write_output(_report_json(report) + "\n", args.output)
     return 0
 
 
@@ -415,17 +420,16 @@ def cmd_tstats(args) -> int:
     first = next(lines, None)
     if first is None:
         raise CLIError(f"{args.input}: need a header row and at least one data row")
-    header = [cell.strip() for cell in _split_row(first[1])]
+    header = [cell.strip() for cell in _split_row(first[1], first[0])]
     names = group_a + group_b
-    for name in names:
-        if name not in header:
-            raise CLIError(f"line {first[0]}: column {name!r} not found in {args.input}")
     # a column read twice would give a wrong t without any other sign
     cols = []
     for name in names:
         if names.count(name) > 1:
             raise CLIError(f"column {name!r} is named twice in --group-a and --group-b")
         cols.append(_column(header, first[0], name))
+        if cols[-1] is None:
+            raise CLIError(f"line {first[0]}: column {name!r} not found in {args.input}")
 
     linenos, ids, blocks = [], [], []
     for block_linenos, rows in _csv_blocks(lines, len(header)):

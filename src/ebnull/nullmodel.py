@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import special
@@ -253,6 +254,7 @@ def _gaussian_loglik(mu, n, sum_z, sum_zz, xi):
     return -0.5 * n * _LOG_2PI - 0.5 * quad - n * special.log_ndtr(xi - mu)
 
 
+@np.errstate(all="ignore")
 def fit_gaussian(sample, xi: float) -> GaussianNull:
     """Fit the shifted-Gaussian null on the statistics at or below ``xi``.
 
@@ -265,6 +267,7 @@ def fit_gaussian(sample, xi: float) -> GaussianNull:
     counts Brent's iterations (0 when the estimate is 0); ``converged``
     means Brent's method converged and the log-likelihood is finite.  A
     non-finite score at 0 (statistics too large in magnitude) raises.
+    Floating-point warnings are off: the raise and ``converged`` cover them.
     """
     z0 = _truncated(_as_values(sample), xi)
     n = z0.size
@@ -308,13 +311,15 @@ def _skew_loglik(eta, z0, xi, n, sum_zz):
     return ll - n * math.log(max(float(skew_normal_cdf(xi, sigma0)), 1e-300))
 
 
+@np.errstate(all="ignore")
 def fit_skew_normal(sample, xi: float) -> SkewNormalNull:
     """Fit the skew-normal null by maximizing over eta = log(sigma0).
 
     Bounded Brent search over eta in [-6, 3] on the negated truncated
     log-likelihood; the two interval endpoints are evaluated explicitly
     afterwards so a boundary optimum is returned exactly rather than to
-    within the search tolerance.
+    within the search tolerance.  Floating-point warnings are off: a
+    non-finite log-likelihood covers them.
     """
     z0 = _truncated(_as_values(sample), xi)
     n = z0.size
@@ -412,12 +417,11 @@ def _solve_weights_mixsqp(A):
         # (Ax)_i so that the large log terms do not cancel
         ratio = (A @ p) * u
         step = 1.0
-        with np.errstate(divide="ignore"):
-            while (-np.log1p(step * ratio).sum() / n + step * p.sum()
-                   > _MIX_ARMIJO * step * slope):
-                step *= 0.5
-                if step < _MIX_MIN_STEP:
-                    break
+        while (-np.log1p(step * ratio).sum() / n + step * p.sum()
+               > _MIX_ARMIJO * step * slope):
+            step *= 0.5
+            if step < _MIX_MIN_STEP:
+                break
         if step < _MIX_MIN_STEP:
             break
         x = x + step * p
@@ -427,6 +431,7 @@ def _solve_weights_mixsqp(A):
     return x, d, iterations, gap * n, gap <= _MIX_TOL
 
 
+@np.errstate(all="ignore")
 def fit_mixture(sample, xi: float, k: int = _GRID_K) -> MixtureNull:
     """Fit mixture weights on a fixed grid of non-positive atoms.
 
@@ -444,7 +449,8 @@ def fit_mixture(sample, xi: float, k: int = _GRID_K) -> MixtureNull:
     truncated statistic, and ``iterations`` counts the steps taken.  The
     solver also stops, unconverged, when a step makes no progress or after
     200 steps.  Statistics so large in magnitude that the log-density
-    columns overflow raise ``ValueError``.
+    columns overflow, or whose fitted density underflows to 0, raise
+    ``ValueError``; floating-point warnings are off, as that error covers them.
 
     ``sf`` reads a profile-likelihood upper bound on the tail, with weight
     moved onto the atom at 0 until the log-likelihood has dropped by
@@ -478,11 +484,10 @@ def fit_mixture(sample, xi: float, k: int = _GRID_K) -> MixtureNull:
     # undo the truncation tilt, eta_k  propto  p_k * Phi(xi - mu_k), in logs,
     # since Phi underflows to 0 at every atom when the cut lies far below 0;
     # the bound puts eps / Phi(xi) at 0 against (1 - eps) sum_k exp(log_p_k)
-    with np.errstate(divide="ignore"):
-        eps = 1.0 if spare(1.0) >= 0.0 else brentq(spare, 0.0, 1.0)
-        log_p = np.log(eta) - log_below
-        tail_mass = special.expit(np.log(eps) - log_below[-1] - np.log1p(-eps)
-                                  - special.logsumexp(log_p))
+    eps = 1.0 if spare(1.0) >= 0.0 else brentq(spare, 0.0, 1.0)
+    log_p = np.log(eta) - log_below
+    tail_mass = special.expit(np.log(eps) - log_below[-1] - np.log1p(-eps)
+                              - special.logsumexp(log_p))
     weights_p = np.exp(log_p - log_p.max())
     weights_p /= weights_p.sum()
     return MixtureNull(
@@ -521,9 +526,7 @@ def select_null(sample, rule: TruncationRule | None = None, k: int = _GRID_K) ->
     log-likelihood counts as failed and is recorded as ``None`` in
     ``family_logliks``; failures are tolerated as long as at least one
     family fits, and when none does ``ValueError`` names each family's
-    failure.  Any other exception propagates.  The fits run with numpy's
-    overflow and invalid-value warnings off, since the finite-loglik rule
-    already judges what those produce.
+    failure.  Any other exception propagates.
     """
     _check_k(k)
     if not isinstance(sample, StatSample):  # validated once, not once per fit
@@ -534,14 +537,11 @@ def select_null(sample, rule: TruncationRule | None = None, k: int = _GRID_K) ->
     best = None
     logliks: dict[str, float | None] = {}
     errors: dict[str, str] = {}
-    for name, fitter in (
-        (GaussianNull.family, lambda: fit_gaussian(sample, xi)),
-        (SkewNormalNull.family, lambda: fit_skew_normal(sample, xi)),
-        (MixtureNull.family, lambda: fit_mixture(sample, xi, k=k)),
-    ):
+    for name, fitter in ((GaussianNull.family, fit_gaussian),
+                         (SkewNormalNull.family, fit_skew_normal),
+                         (MixtureNull.family, partial(fit_mixture, k=k))):
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                fit = fitter()
+            fit = fitter(sample, xi)
             if not math.isfinite(fit.loglik):
                 raise ArithmeticError(f"log-likelihood is {fit.loglik}")
         except (ValueError, ArithmeticError) as exc:

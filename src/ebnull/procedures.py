@@ -27,14 +27,12 @@ class RejectionResult:
     ``rejected`` holds sorted original indices; ``threshold`` is the
     largest p-value (on the original scale) that was rejected, 0.0 when
     nothing was.  ``pi0_hat`` records the null-proportion estimate the
-    procedure actually used (1.0 for plain BH).
+    procedure actually used (1.0 for plain BH); ``m`` counts the hypotheses.
     """
 
     rejected: np.ndarray
     threshold: float
     pi0_hat: float
-    procedure: str
-    q: float
     m: int
 
     def __post_init__(self):
@@ -69,7 +67,7 @@ def _check_lambda(lam: float):
         raise ValueError("lambda must lie in [0, 1)")
 
 
-def _step_up(vals: np.ndarray, q: float, pi0: float, procedure: str,
+def _step_up(vals: np.ndarray, q: float, pi0: float,
              scan: np.ndarray | None = None) -> RejectionResult:
     """Reject every p at or below the largest candidate (of ``scan``, all of
     ``vals`` by default) whose estimated FDP m * pi0 * p / k is at most q,
@@ -81,7 +79,7 @@ def _step_up(vals: np.ndarray, q: float, pi0: float, procedure: str,
     pi0 an exact zero always passes, so rejecting ``vals <= 0.0`` after a
     0.0 result rejects nothing more.  For pi0 = inf (d-stbh with tau - lam
     near 0) a zero's estimate is NaN and nothing passes, and the 0.0 result
-    rejects exactly the zeros.
+    rejects exactly the zeros.  The result holds no procedure name or q.
     """
     m = vals.size
     ordered = np.sort(vals if scan is None else scan)
@@ -90,13 +88,13 @@ def _step_up(vals: np.ndarray, q: float, pi0: float, procedure: str,
     passing = np.flatnonzero(fdp_hat <= q)
     thr = float(ordered[passing[-1]]) if passing.size else 0.0
     return RejectionResult(rejected=np.flatnonzero(vals <= thr), threshold=thr,
-                           pi0_hat=pi0, procedure=procedure, q=q, m=m)
+                           pi0_hat=pi0, m=m)
 
 
 def bh(pvalues, q: float) -> RejectionResult:
     """Benjamini-Hochberg step-up at level q."""
     _check_q(q)
-    return _step_up(_as_pvalues(pvalues), q, 1.0, "bh")
+    return _step_up(_as_pvalues(pvalues), q, 1.0)
 
 
 def storey_pi0(pvalues, lam: float = 0.5) -> float:
@@ -117,7 +115,7 @@ def storey_bh(pvalues, q: float, lam: float = 0.5) -> RejectionResult:
     _check_q(q)
     vals = _as_pvalues(pvalues)
     pi0 = min(max(storey_pi0(pvalues, lam), 1.0 / vals.size), 1.0)
-    return _step_up(vals, q, pi0, "stbh")
+    return _step_up(vals, q, pi0)
 
 
 def c_storey_bh(
@@ -137,16 +135,13 @@ def c_storey_bh(
         raise ValueError("tau must lie in (0, 1]")
     _check_lambda(lam)
     vals = _as_pvalues(pvalues)
-    m = vals.size
     keep = np.flatnonzero(vals <= tau)
     rejected, thr, pi0 = keep, 0.0, 1.0
     if keep.size:
         inner = storey_bh(PValueVector(vals[keep] / tau), q, lam)
         rejected, pi0 = keep[inner.rejected], inner.pi0_hat
         thr = float(vals[rejected].max()) if rejected.size else 0.0
-    return RejectionResult(
-        rejected=rejected, threshold=thr, pi0_hat=pi0, procedure="c-stbh", q=q, m=m
-    )
+    return RejectionResult(rejected=rejected, threshold=thr, pi0_hat=pi0, m=vals.size)
 
 
 def d_storey_bh(
@@ -169,7 +164,7 @@ def d_storey_bh(
     # in Python floats, which overflow to inf without a warning
     pi0 = ((1.0 + int(((vals > lam) & (vals <= tau)).sum()))
            / (m * (float(tau) - float(lam))))
-    return _step_up(vals, q, pi0, "d-stbh", scan=vals[vals <= tau])
+    return _step_up(vals, q, pi0, scan=vals[vals <= tau])
 
 
 def compute_metrics(result: RejectionResult, truth) -> ErrorMetrics:

@@ -148,6 +148,36 @@ def test_ingest_errors_come_in_line_order(tmp_path):
     assert _ingest_error(tmp_path, text) == "line 15003: cannot parse statistic from 'oops'"
 
 
+@pytest.mark.parametrize("text, ids", [
+    ("\ufeffid,statistic\ng1,0.5\ng2,-1.25\n", ("g1", "g2")),
+    ("\ufeff0.5\n-1.25\n", None),
+], ids=["csv", "plain"])
+def test_ingest_reads_past_a_byte_order_mark(tmp_path, text, ids):
+    # spreadsheet "CSV UTF-8" exports start with U+FEFF, which must not
+    # become part of the first header cell or of the first number
+    sample = ingest_statistics(_write(tmp_path / "bom.csv", text))
+    assert sample.ids == ids
+    assert sample.values.tolist() == [0.5, -1.25]
+
+
+def test_ingest_over_long_quoted_cell_names_its_line(tmp_path, capsys):
+    # a quoted cell past csv's field-size limit ends in the one JSON error
+    # line, after the faults above it, and leaves the limit as it was
+    limit = csv.field_size_limit()
+    huge = '"' + "x" * 140_000 + '"'
+    text = f"id,statistic\ng1,0.5\n\n{huge},1.0\n"
+    assert main(["test", "--input", _write(tmp_path / "huge.csv", text)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": f"line 4: field larger than field limit ({limit})"}
+    assert (_ingest_error(tmp_path, f"id,statistic\ng1,oops\n{huge},1.0\n")
+            == "line 2: cannot parse statistic from 'oops'")
+    assert (_ingest_error(tmp_path, f"# c\n{huge},statistic\n")
+            == f"line 2: field larger than field limit ({limit})")
+    assert csv.field_size_limit() == limit
+
+
 def test_ingest_unterminated_quote_stays_on_its_line(tmp_path):
     assert (_ingest_error(tmp_path, 'id,statistic\n\n"g1,0.5\ng2,0.7\n')
             == "line 3: expected 2 fields, got 1")
@@ -223,18 +253,30 @@ def test_fit_null_report_is_strict_json(tmp_path):
     assert report["logliks"]["gaussian"] is None
     assert report["family"] == "mixture"
 
+    # d-stbh's uncapped pi0 overflows when tau - lambda is near 0; it is
+    # reported as null, and the rejections are the exact zeros: none here
+    path = _write(tmp_path / "few.csv", "id,statistic\na,0.5\nb,-1.0\nc,2.5\nd,-0.3\n")
+    assert main(["test", "--input", path, "--method", "d-stbh", "--tau", "1e-320",
+                 "--lambda-discard", "0", "--output", str(out)]) == 0
+    report = json.loads(out.read_text(), parse_constant=reject)
+    assert report["methods"]["d-stbh"] == {"n_rejected": 0, "threshold": 0.0,
+                                           "pi0_hat": None}
+
 
 @pytest.mark.parametrize("command", ["fit-null", "test", "histogram"])
 def test_huge_statistic_leaves_stderr_empty(tmp_path, capsys, command):
-    # the overflows a statistic at -1e160 causes inside the fits end as failed
-    # families; numpy must not warn about them on the error channel
-    z = np.append(np.random.default_rng(1).standard_normal(50), -1e160)
-    path = _write(tmp_path / "huge.txt", "\n".join(repr(float(v)) for v in z) + "\n")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main([command, "--input", path, "--output", str(tmp_path / "out.json")]) == 0
-    assert [str(w.message) for w in caught] == []
-    assert capsys.readouterr().err == ""
+    # the overflows a statistic at -1e160 causes inside the fits, and the
+    # zero density a statistic at -100 leaves in the mixture solver, end as
+    # failed families; numpy must not warn about them on the error channel
+    far = sim.generate(sim.SimScenario(sim.TwoPointPrior(0.8), base_seed=7000), 0).values
+    for z in (np.append(np.random.default_rng(1).standard_normal(50), -1e160),
+              np.append(far, -100.0)):
+        path = _write(tmp_path / "in.txt", "\n".join(repr(float(v)) for v in z) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--input", path, "--output", str(tmp_path / "out.json")]) == 0
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +617,18 @@ def _tstats_error(tmp_path, capsys, text):
     captured = capsys.readouterr()
     assert captured.out == ""
     return json.loads(captured.err)["error"]
+
+
+def test_tstats_needs_a_column_in_each_group(tmp_path, capsys):
+    # checked before the input is read: the file does not exist
+    missing = str(tmp_path / "missing.csv")
+    for group_a, group_b in ((" , ", "y1"), ("x1", ",")):
+        assert main(["tstats", "--input", missing, "--group-a", group_a,
+                     "--group-b", group_b]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "both --group-a and --group-b need at least one column"}
 
 
 def test_tstats_parse_error_names_the_file_line(tmp_path, capsys):

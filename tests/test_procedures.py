@@ -219,7 +219,7 @@ def test_exact_zero_pvalue_is_rejected():
     p = np.array([0.0, 0.6, 0.9])
     for proc in (bh, storey_bh, c_storey_bh, d_storey_bh):
         r = proc(p, q=0.1)
-        assert r.rejected.tolist() == [0], r.procedure
+        assert r.rejected.tolist() == [0], proc.__name__
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +294,12 @@ def test_rejections_are_the_pvalues_at_or_below_the_threshold(p, q, lam, tau,
     # the RejectionResult contract: the threshold is 0.0 or an input p-value,
     # and exactly the p-values at or below it are rejected
     vals = np.array(p)
-    for r in (bh(vals, q), storey_bh(vals, q, lam), c_storey_bh(vals, q, tau=tau, lam=lam),
-              d_storey_bh(vals, q, lam=lam_discard, tau=tau)):
-        assert r.rejected.tolist() == np.flatnonzero(vals <= r.threshold).tolist(), r.procedure
-        assert r.threshold == 0.0 or r.threshold in p, r.procedure
+    results = {"bh": bh(vals, q), "stbh": storey_bh(vals, q, lam),
+               "c-stbh": c_storey_bh(vals, q, tau=tau, lam=lam),
+               "d-stbh": d_storey_bh(vals, q, lam=lam_discard, tau=tau)}
+    for name, r in results.items():
+        assert r.rejected.tolist() == np.flatnonzero(vals <= r.threshold).tolist(), name
+        assert r.threshold == 0.0 or r.threshold in p, name
 
 
 def test_discarding_with_full_window_is_uncapped_storey():
@@ -323,23 +325,21 @@ def test_discarding_with_full_window_is_uncapped_storey():
 
 
 def test_compute_metrics_worked_example():
-    r = RejectionResult(rejected=np.array([0, 1]), threshold=0.02, pi0_hat=1.0,
-                        procedure="bh", q=0.1, m=4)
+    r = RejectionResult(rejected=np.array([0, 1]), threshold=0.02, pi0_hat=1.0, m=4)
     metrics = compute_metrics(r, truth=[True, False, False, True])
     assert metrics == ErrorMetrics(fdp=0.5, tpp=0.5)
 
 
 def test_compute_metrics_empty_rejection():
     r = RejectionResult(rejected=np.array([], dtype=int), threshold=0.0,
-                        pi0_hat=1.0, procedure="bh", q=0.1, m=3)
+                        pi0_hat=1.0, m=3)
     metrics = compute_metrics(r, truth=[True, False, False])
     assert metrics.fdp == 0.0
     assert metrics.tpp == 0.0
 
 
 def test_compute_metrics_all_null_truth():
-    r = RejectionResult(rejected=np.array([2]), threshold=0.01, pi0_hat=1.0,
-                        procedure="bh", q=0.1, m=3)
+    r = RejectionResult(rejected=np.array([2]), threshold=0.01, pi0_hat=1.0, m=3)
     metrics = compute_metrics(r, truth=[False, False, False])
     assert metrics.fdp == 1.0
     assert metrics.tpp == 0.0
@@ -349,5 +349,5 @@ def test_compute_metrics_all_null_truth():
 
 def test_rejection_result_sorts_indices():
     r = RejectionResult(rejected=np.array([3, 1, 2]), threshold=0.1,
-                        pi0_hat=1.0, procedure="bh", q=0.1, m=5)
+                        pi0_hat=1.0, m=5)
     assert r.rejected.tolist() == [1, 2, 3]

@@ -35,10 +35,10 @@ def _csv_cell(text: str) -> str:
 
 def write_inputs(outdir: str):
     """Statistics as a 2e4-row CSV, as a plain file, as the CSV's first
-    850 rows and as the CSV plus one row at -100, a 3000-row two-group
-    matrix with blank and NA cells, and the inputs of the failing runs,
-    among them the matrix's first rows under a header that names a group
-    column twice."""
+    850 rows (also behind a UTF-8 byte-order mark) and as the CSV plus one
+    row at -100, a 3000-row two-group matrix with blank and NA cells, and
+    the inputs of the failing runs, among them the matrix's first rows
+    under a header that names a group column twice."""
     rng = np.random.default_rng(20240)
     z = np.concatenate([-np.abs(rng.normal(0.0, 1.5, 18000)) + rng.standard_normal(18000),
                         rng.normal(3.0, 1.0, 2000)])
@@ -51,6 +51,8 @@ def write_inputs(outdir: str):
         "stats.txt": "\n".join(map(repr, z.tolist())) + "\n",
         # rows whose c-stbh threshold at tau = 0.7 is not (p / tau) * tau
         "stats-head.csv": "id,statistic\n" + "\n".join(rows[:850]) + "\n",
+        # as a spreadsheet's "CSV UTF-8" export writes it
+        "stats-head-bom.csv": "\ufeffid,statistic\n" + "\n".join(rows[:850]) + "\n",
         # one statistic far below the rest, which stretches the mixture grid
         "stats-far.csv": "id,statistic\n" + "\n".join(rows) + "\nfar,-100.0\n",
         # the same column named twice: the second cell holds other numbers
@@ -59,6 +61,8 @@ def write_inputs(outdir: str):
         "dup-id.csv": "id,statistic,id\n" + "".join(
             f"g{i},{v!r},h{i}\n" for i, v in enumerate(z[:200].tolist())),
         "bad.csv": "id,statistic\n# comment\ng1,0.5\ng2,oops\n",
+        # a quoted id longer than csv's field-size limit of 131072
+        "huge-cell.csv": 'id,statistic\n"' + "x" * 140_000 + '",0.5\n',
     }
 
     rng = np.random.default_rng(20241)
@@ -94,6 +98,10 @@ def runs():
         # tau not a power of two: the threshold is the largest rejected p-value
         ("test-c-stbh-tau", ["test", "--input", "stats-head.csv", "--method", "c-stbh",
                              "--tau", "0.7"]),
+        ("test-bom", ["test", "--input", "stats-head-bom.csv"]),
+        # d-stbh's pi0 overflows to inf, which the report writes as null
+        ("test-d-stbh-tiny-tau", ["test", "--input", "stats-head.csv", "--method", "d-stbh",
+                                  "--tau", "1e-320", "--lambda-discard", "0"]),
         ("fit-null-far", ["fit-null", "--input", "stats-far.csv"]),
         ("test-far", ["test", "--input", "stats-far.csv"]),
         ("histogram", ["histogram", "--input", "stats.txt"]),
@@ -115,6 +123,7 @@ def runs():
         ("err-bad-cell", ["test", "--input", "bad.csv"]),
         ("err-dup-header", ["test", "--input", "dup.csv"]),
         ("err-dup-id", ["test", "--input", "dup-id.csv"]),
+        ("err-huge-cell", ["test", "--input", "huge-cell.csv"]),
         ("err-bins-0", ["histogram", "--input", "stats.txt", "--bins", "0"]),
         ("err-bins-neg2", ["histogram", "--input", "stats.txt", "--bins", "-2"]),
         ("err-lambda-storey", ["histogram", "--input", "stats.txt", "--lambda-storey", "1.5"]),
