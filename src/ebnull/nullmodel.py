@@ -43,6 +43,16 @@ _ETA_MAX = 3.0
 # the number of mixture grid atoms, the one grid size every caller uses
 _GRID_K = 50
 
+# the skew-normal and mixture fits run on the truncated sample binned on the
+# lattice floor(z / _BIN_H), each bin at its mean with its count
+_BIN_H = 0.005
+
+# the mixture's regular atoms start at the smallest truncated statistic
+# within _GRID_MARGIN of the _GRID_ORDER-th smallest; each bin below that
+# end gets an atom of its own, so at most _GRID_ORDER - 1 far atoms
+_GRID_MARGIN = 8.0
+_GRID_ORDER = 5
+
 # mixture weight solver: the relative KKT gap that counts as converged, the
 # Hessian ridge relative to each diagonal entry, the Armijo sufficient-
 # decrease fraction, the smallest step tried, and the cap on SQP steps
@@ -51,6 +61,8 @@ _MIX_RIDGE = 1e-10
 _MIX_ARMIJO = 0.01
 _MIX_MIN_STEP = 1e-10
 _MIX_MAX_ITER = 200
+# the least share of its density a line-search step leaves any bin
+_MIX_THETA = 1e-12
 
 # the log-likelihood, in nats, the mixture's tail bound gives up: half the
 # median of chi-square(1), so the bound is the upper end of a 50% profile-
@@ -137,6 +149,15 @@ def _truncated(values: np.ndarray, xi: float) -> np.ndarray:
     return z0
 
 
+def _binned(z0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bins of ``floor(z / _BIN_H)`` that hold data, in increasing
+    order: each bin's mean and its count, as floats."""
+    _, which, counts = np.unique(np.floor(z0 / _BIN_H), return_inverse=True,
+                                 return_counts=True)
+    counts = counts.astype(float)
+    return np.bincount(which, weights=z0) / counts, counts
+
+
 # ---------------------------------------------------------------------------
 # fitted null laws: each family evaluates itself and names its report fields
 
@@ -189,10 +210,13 @@ class SkewNormalNull:
 class MixtureNull:
     """Finite mixture of unit-variance Gaussians on non-positive atoms.
 
-    ``weights_p`` are the maximum-likelihood mixing weights and
-    ``weights_eta`` the truncation-tilted weights the concave program
-    optimizes over (each atom's weight times its chance of landing below
-    the cut, renormalized).  The law ``sf`` reads is ``1 - tail_mass``
+    ``grid`` holds the atoms in increasing order, ending at 0: the regular,
+    equally spaced ones and, below them, up to four far atoms, one at each
+    far-left bin of the fitted sample (``fit_mixture``).  ``weights_p`` are
+    the maximum-likelihood mixing weights and ``weights_eta`` the
+    truncation-tilted weights the concave program optimizes over (each
+    atom's weight times its chance of landing below the cut,
+    renormalized).  The law ``sf`` reads is ``1 - tail_mass``
     times ``weights_p`` plus ``tail_mass`` on the grid's last atom, 0.
     """
 
@@ -298,7 +322,10 @@ def fit_gaussian(sample, xi: float) -> GaussianNull:
 # skew-normal fit: bounded scalar search over eta = log(sigma0)
 
 
-def _skew_loglik(eta, z0, xi, n, sum_zz):
+def _skew_loglik(eta, z, c, xi, n, sum_zz):
+    """Truncated log-likelihood of the skew-normal at eta = log(sigma0), from
+    the points z with counts c (a scalar 1 for the plain sample) and the
+    exact n and sum of squares."""
     sigma0 = math.exp(eta)
     omega = math.sqrt(1.0 + sigma0 * sigma0)
     # sum of log pdf terms; the squared part collapses to a sufficient stat
@@ -306,7 +333,7 @@ def _skew_loglik(eta, z0, xi, n, sum_zz):
         n * (math.log(2.0) - math.log(omega))
         - 0.5 * n * _LOG_2PI
         - 0.5 * sum_zz / (omega * omega)
-        + float(special.log_ndtr(-sigma0 * z0 / omega).sum())
+        + float((c * special.log_ndtr(-sigma0 * z / omega)).sum())
     )
     return ll - n * math.log(max(float(skew_normal_cdf(xi, sigma0)), 1e-300))
 
@@ -316,23 +343,27 @@ def fit_skew_normal(sample, xi: float) -> SkewNormalNull:
     """Fit the skew-normal null by maximizing over eta = log(sigma0).
 
     Bounded Brent search over eta in [-6, 3] on the negated truncated
-    log-likelihood; the two interval endpoints are evaluated explicitly
-    afterwards so a boundary optimum is returned exactly rather than to
-    within the search tolerance.  Floating-point warnings are off: a
-    non-finite log-likelihood covers them.
+    log-likelihood of the binned sample: the statistics at or below ``xi``
+    on the lattice ``floor(z / h)``, h = 0.005, each bin at its mean and
+    weighted by its count, with the exact sum of squares.  The search's
+    optimum and the two interval endpoints are then scored on the exact
+    statistics, and the best of the three is returned, so ``loglik`` is
+    exact and a boundary optimum is returned exactly rather than to within
+    the search tolerance.  Floating-point warnings are off: a non-finite
+    log-likelihood covers them.
     """
     z0 = _truncated(_as_values(sample), xi)
     n = z0.size
     sum_zz = float((z0 * z0).sum())
+    means, counts = _binned(z0)
 
     def neg(eta):
-        return -_skew_loglik(eta, z0, xi, n, sum_zz)
+        return -_skew_loglik(eta, means, counts, xi, n, sum_zz)
 
     res = minimize_scalar(neg, bounds=(_ETA_MIN, _ETA_MAX), method="bounded",
                           options={"xatol": 1e-6})
-    candidates = [(float(res.x), -float(res.fun))]
-    for edge in (_ETA_MIN, _ETA_MAX):
-        candidates.append((edge, _skew_loglik(edge, z0, xi, n, sum_zz)))
+    candidates = [(eta, _skew_loglik(eta, z0, 1.0, xi, n, sum_zz))
+                  for eta in (float(res.x), _ETA_MIN, _ETA_MAX)]
     eta, loglik = max(candidates, key=lambda pair: pair[1])
     at_boundary = min(eta - _ETA_MIN, _ETA_MAX - eta) < 1e-5 * (_ETA_MAX - _ETA_MIN)
     return SkewNormalNull(
@@ -344,8 +375,8 @@ def fit_skew_normal(sample, xi: float) -> SkewNormalNull:
 # mixture fit: concave weight optimization on a fixed atom grid
 
 
-def _mixture_columns(z0, grid, log_below):
-    """Per-observation, per-atom truncated density columns, row-shifted.
+def _mixture_columns(z, grid, log_below):
+    """Per-point, per-atom truncated density columns, row-shifted.
 
     Returns (A, row_shift) with A[i, k] = exp(L[i, k] - row_shift[i]) where
     L[i, k] = log phi(z_i - mu_k) - log_below[k], log_below being log Phi(xi - grid).
@@ -353,7 +384,7 @@ def _mixture_columns(z0, grid, log_below):
     """
     # built in place: one n-by-k array, where each step of the expression
     # would allocate another (the CLI's fit has n near 1.7e5)
-    logcols = z0[:, None] - grid[None, :]
+    logcols = z[:, None] - grid[None, :]
     logcols *= logcols
     logcols *= -0.5
     logcols -= 0.5 * _LOG_2PI + log_below
@@ -362,35 +393,40 @@ def _mixture_columns(z0, grid, log_below):
     return np.exp(logcols, out=logcols), shift
 
 
-def _solve_weights_mixsqp(A):
+def _solve_weights_mixsqp(A, c):
     """Sequential quadratic programming for the tilted mixture weights.
 
-    Minimizes f(x) = -(1/n) sum_i log (Ax)_i + sum(x) over x >= 0, whose
-    minimizer lies on the simplex and maximizes the log-likelihood there
-    (mixsqp: Kim, Carbonetto, Stephens & Anitescu 2020).  Each step solves
-    the quadratic model with Hessian (A u)'(A u) / n, u = 1 / (Ax), as a
-    non-negative least-squares problem on its Cholesky factor, takes a
-    backtracking Armijo step toward that solution, and rescales x onto the
-    simplex, which never raises f.  The loop stops when the relative KKT
-    gap ``max_k (A'u)_k / n - 1`` falls to ``_MIX_TOL``, when a step makes
-    no progress, or after ``_MIX_MAX_ITER`` steps.  Returns the weights x,
-    the fitted densities Ax, the step count, the gap in nats (n times the
-    relative gap, a bound on the log-likelihood still to gain) and whether
-    the gap met the tolerance.
+    Minimizes f(x) = -(1/N) sum_b c_b log (Ax)_b + sum(x) over x >= 0, the
+    rows of A being bins with counts c and N = sum(c); the minimizer lies on
+    the simplex and maximizes the binned log-likelihood there (mixsqp: Kim,
+    Carbonetto, Stephens & Anitescu 2020).  The plain program is the case
+    c = 1.  Each step solves the quadratic model with Hessian
+    (A sqrt(c) u)'(A sqrt(c) u) / N, u = 1 / (Ax), as a non-negative least-
+    squares problem on its Cholesky factor, takes a backtracking Armijo step
+    toward that solution, and rescales x onto the simplex, which never
+    raises f.  The search starts at the longest step that leaves every bin
+    at least ``_MIX_THETA`` of its density, so no density reaches 0.  The
+    loop stops when the relative KKT gap ``max_k (A'(c u))_k / N - 1`` falls
+    to ``_MIX_TOL``, when a step makes no progress, or after
+    ``_MIX_MAX_ITER`` steps.  Returns the weights x, the step count, the
+    gap in nats (N times the relative gap, a bound on the binned log-
+    likelihood still to gain) and whether the gap met the tolerance.
     """
-    n, K = A.shape
+    K = A.shape[1]
+    N = float(c.sum())
+    root_c = np.sqrt(c)
     x = np.full(K, 1.0 / K)
     d = A @ x
-    B = np.empty_like(A)  # the rows of A scaled by u, rewritten each step
+    B = np.empty_like(A)  # the rows of A scaled by sqrt(c) u, rewritten each step
     iterations = 0
     while True:
         u = 1.0 / d
-        grad = A.T @ u / n
+        grad = A.T @ (c * u) / N
         gap = float(grad.max()) - 1.0
         if gap <= _MIX_TOL or iterations >= _MIX_MAX_ITER:
             break
-        np.multiply(A, u[:, None], out=B)
-        H = B.T @ B / n
+        np.multiply(A, (root_c * u)[:, None], out=B)
+        H = B.T @ B / N
         # H has rank well below K.  A ridge in proportion to each diagonal
         # entry makes it positive definite without damping the support's
         # weak directions, which a ridge on the mean diagonal (set by the
@@ -414,10 +450,12 @@ def _solve_weights_mixsqp(A):
         if not slope < 0.0:
             break
         # f(x + step p) - f(x), summed from the relative change of each
-        # (Ax)_i so that the large log terms do not cancel
+        # (Ax)_b so that the large log terms do not cancel.  A ratio that
+        # rounds to just above -1 gives a finite log1p at step 1 while the
+        # recomputed density is exactly 0, hence the shortened first step
         ratio = (A @ p) * u
-        step = 1.0
-        while (-np.log1p(step * ratio).sum() / n + step * p.sum()
+        step = min(1.0, (1.0 - _MIX_THETA) / max(-float(ratio.min()), _MIX_THETA))
+        while (-float(c @ np.log1p(step * ratio)) / N + step * p.sum()
                > _MIX_ARMIJO * step * slope):
             step *= 0.5
             if step < _MIX_MIN_STEP:
@@ -428,49 +466,85 @@ def _solve_weights_mixsqp(A):
         x /= x.sum()
         d = A @ x
         iterations += 1
-    return x, d, iterations, gap * n, gap <= _MIX_TOL
+    return x, iterations, gap * N, gap <= _MIX_TOL
+
+
+def _mixture_grid(z0, means, k):
+    """The atoms: ``k`` equally spaced from ``lo`` up to 0, below them one
+    at the mean of each bin under ``lo``.
+
+    ``lo`` is the smallest statistic at most _GRID_MARGIN below the
+    _GRID_ORDER-th smallest (the minimum, when there are fewer), so the
+    sample minimum unless a few statistics lie far to its left.  Those get
+    atoms of their own, and the regular atoms are the ones the rest of the
+    sample would get without them.
+    """
+    order = _GRID_ORDER - 1 if z0.size >= _GRID_ORDER else 0
+    reach = float(np.partition(z0, order)[order]) - _GRID_MARGIN
+    lo = min(float(z0[z0 >= reach].min()), 0.0)
+    return np.concatenate((means[means < lo], np.linspace(lo, 0.0, k)))
 
 
 @np.errstate(all="ignore")
 def fit_mixture(sample, xi: float, k: int = _GRID_K) -> MixtureNull:
     """Fit mixture weights on a fixed grid of non-positive atoms.
 
-    The grid places ``k`` (by default ``_GRID_K``, 50) equally spaced
-    atoms from the sample minimum up to 0.  The optimization runs in the
-    truncation-tilted weight coordinates (a concave program over the
-    simplex); the plain mixing weights are recovered by undoing the tilt.
+    The statistics at or below ``xi`` are binned on the lattice
+    ``floor(z / h)``, h = 0.005, each bin at its mean with its count, and
+    the weights maximize the binned log-likelihood, which costs
+    O(bins * atoms) per step rather than O(n * atoms).  The grid places
+    ``k`` (by default ``_GRID_K``, 50) equally spaced atoms from the sample
+    minimum up to 0.  Statistics more than 8 below the 5th-smallest
+    truncated statistic are far-left: the regular atoms then start at the
+    smallest statistic that is not, and each bin below them gets an atom at
+    its mean (at most 4 more).  The optimization runs in the truncation-
+    tilted weight coordinates (a concave program over the simplex); the
+    plain mixing weights are recovered by undoing the tilt.
 
     The weights come from sequential quadratic programming (mixsqp) from
     the uniform start: each step solves a non-negative quadratic model of
-    the log-likelihood and takes a backtracking line-search step toward
-    its solution.  ``kkt_gap`` is the largest directional derivative of
-    adding any atom, in nats: it bounds how far the log-likelihood is
-    below its maximum.  ``converged`` means the gap fell to 1e-10 per
-    truncated statistic, and ``iterations`` counts the steps taken.  The
-    solver also stops, unconverged, when a step makes no progress or after
-    200 steps.  Statistics so large in magnitude that the log-density
-    columns overflow, or whose fitted density underflows to 0, raise
-    ``ValueError``; floating-point warnings are off, as that error covers them.
+    the binned log-likelihood and takes a backtracking line-search step
+    toward its solution, never far enough to send a bin's density to 0.
+    ``kkt_gap`` is the largest directional derivative of adding any atom to
+    the binned program, in nats: it bounds how far the binned log-
+    likelihood is below its maximum.  ``converged`` means the gap fell to
+    1e-10 per truncated statistic, and ``iterations`` counts the steps
+    taken.  The solver also stops, unconverged, when a step makes no
+    progress or after 200 steps.  ``loglik`` is the truncated log-
+    likelihood of the fitted weights on the exact statistics, computed in
+    one pass over the atoms with positive weight and the atom at 0.
+    Statistics so large in magnitude that the log-density columns
+    overflow, or whose fitted density underflows to 0, raise ``ValueError``
+    or give a non-finite ``loglik``; floating-point warnings are off, as
+    those cover them.
 
     ``sf`` reads a profile-likelihood upper bound on the tail, with weight
-    moved onto the atom at 0 until the log-likelihood has dropped by
-    ``_TAIL_DELTA`` (0.23 nats): the constraint mu <= 0 makes the maximum-
-    likelihood tail optimistic where the discoveries are.  ``tail_mass`` is
-    the share moved; ``loglik`` and the weights stay maximum-likelihood.
+    moved onto the atom at 0 until the exact-data log-likelihood has
+    dropped by ``_TAIL_DELTA`` (0.23 nats): the constraint mu <= 0 makes
+    the maximum-likelihood tail optimistic where the discoveries are.
+    ``tail_mass`` is the share moved; ``loglik`` and the weights stay
+    maximum-likelihood.
     """
     z0 = _truncated(_as_values(sample), xi)
     _check_k(k)
-    # the sample minimum is at or below every cut, so z0 holds it
-    grid = np.linspace(min(float(z0.min()), 0.0), 0.0, k)
+    means, counts = _binned(z0)
+    grid = _mixture_grid(z0, means, k)
     log_below = special.log_ndtr(xi - grid)
 
-    A, row_shift = _mixture_columns(z0, grid, log_below)
+    A, row_shift = _mixture_columns(means, grid, log_below)
     if not np.isfinite(row_shift).all():
         raise ValueError(
             "mixture log-density columns are not finite: the statistics are too "
             "large in magnitude for the atom grid"
         )
-    eta, d, iterations, gap, converged = _solve_weights_mixsqp(A)
+    eta, iterations, gap, converged = _solve_weights_mixsqp(A, counts)
+
+    # the exact data's densities need only the atoms with weight; the atom
+    # at 0, the last, is the one the tail bound moves weight onto
+    used = eta > 0.0
+    used[-1] = True
+    A, row_shift = _mixture_columns(z0, grid[used], log_below[used])
+    d = A @ eta[used]
     loglik = float(np.log(d).sum()) + float(row_shift.sum())
 
     # the tail bound moves tilted weight toward the atom at 0, the last and

@@ -265,9 +265,9 @@ def test_fit_null_report_is_strict_json(tmp_path):
 
 @pytest.mark.parametrize("command", ["fit-null", "test", "histogram"])
 def test_huge_statistic_leaves_stderr_empty(tmp_path, capsys, command):
-    # the overflows a statistic at -1e160 causes inside the fits, and the
-    # zero density a statistic at -100 leaves in the mixture solver, end as
-    # failed families; numpy must not warn about them on the error channel
+    # the overflows a statistic at -1e160 causes inside the fits end as
+    # failed families, and a statistic at -100 gets a mixture atom of its
+    # own; numpy must not warn about either on the error channel
     far = sim.generate(sim.SimScenario(sim.TwoPointPrior(0.8), base_seed=7000), 0).values
     for z in (np.append(np.random.default_rng(1).standard_normal(50), -1e160),
               np.append(far, -100.0)):

@@ -40,7 +40,7 @@ from ebnull.nullmodel import (
     resolve_cut,
     select_null,
 )
-from ebnull.simulate import HalfNormalPrior, SimScenario, generate
+from ebnull.simulate import HalfNormalPrior, SimScenario, TwoPointPrior, generate
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +237,20 @@ def _mixture_loglik_direct(z0, xi, grid, eta):
     return float(np.log(cols @ eta).sum())
 
 
-def _mixture_gap_direct(z0, xi, grid, eta):
+def _mixture_gap_direct(z0, xi, grid, eta, counts=None):
+    # the gap of the program with each point z0[i] counted counts[i] times
+    counts = np.ones(z0.size) if counts is None else counts
     cols = norm.pdf(z0[:, None] - grid[None, :]) / norm.cdf(xi - grid)[None, :]
     d = cols @ eta
-    return float((cols.T @ (1.0 / d)).max()) - z0.size
+    return float((cols.T @ (counts / d)).max()) - counts.sum()
+
+
+def _bins(z0, h=0.005):
+    # the program the mixture fit solves: the statistics binned on the
+    # lattice floor(z / h), each bin at its mean and with its count
+    keys, counts = np.unique(np.floor(z0 / h), return_counts=True)
+    means = np.array([z0[np.floor(z0 / h) == key].mean() for key in keys])
+    return means, counts.astype(float)
 
 
 @pytest.fixture(scope="module")
@@ -262,9 +272,10 @@ def test_fit_mixture_reported_values_consistent(two_point_data):
     assert fit.loglik == pytest.approx(
         _mixture_loglik_direct(z0, xi, fit.grid, fit.weights_eta), abs=1e-7
     )
-    assert _mixture_gap_direct(z0, xi, fit.grid, fit.weights_eta) == pytest.approx(
-        fit.kkt_gap, abs=1e-5
-    )
+    # the gap certifies the binned program the weights solve
+    means, counts = _bins(z0)
+    assert _mixture_gap_direct(means, xi, fit.grid, fit.weights_eta,
+                               counts) == pytest.approx(fit.kkt_gap, abs=1e-5)
 
 
 def test_fit_mixture_weight_tilt_round_trip(two_point_data):
@@ -338,9 +349,33 @@ def test_fit_mixture_newton_matches_em():
     assert fit.loglik - em_loglik <= em_gap + 1e-6
 
 
+@pytest.mark.parametrize("prior", ["two-point", "sigma0=2"])
+def test_fit_mixture_binning_costs_little(two_point_data, prior):
+    """The binned fit's exact-data log-likelihood is within 1e-4 nats of the
+    exact data's optimum on the same grid.  That optimum is bracketed by a
+    reference point and its gap, both from scipy densities; the point
+    comes from the weight solver at unit counts, the unbinned program, as
+    plain EM is still 0.04 nats short of it after 20000 steps here."""
+    if prior == "two-point":
+        z, xi = two_point_data
+    else:
+        rng = np.random.default_rng(37)
+        z = -np.abs(rng.normal(0.0, 2.0, 3000)) + rng.standard_normal(3000)
+        xi = float(np.quantile(z, 0.85))
+    z0 = z[z <= xi]
+    fit = fit_mixture(z, xi=xi)
+    cols = norm.pdf(z0[:, None] - fit.grid[None, :]) / norm.cdf(xi - fit.grid)[None, :]
+    eta = nm._solve_weights_mixsqp(cols, np.ones(z0.size))[0]
+    reference = _mixture_loglik_direct(z0, xi, fit.grid, eta)
+    gap = _mixture_gap_direct(z0, xi, fit.grid, eta)
+    assert gap <= 1e-6
+    assert reference + gap - 1e-4 <= fit.loglik <= reference + gap + 1e-9
+
+
 def test_fit_mixture_converged_is_the_relative_certificate(two_point_data, monkeypatch):
-    """``converged`` holds exactly when the KKT gap, recomputed here from
-    scipy densities, is at most 1e-10 per truncated statistic."""
+    """``converged`` holds exactly when the KKT gap of the binned program,
+    recomputed here from scipy densities, is at most 1e-10 per truncated
+    statistic."""
     z, xi = two_point_data
     rng = np.random.default_rng(29)
     samples = [(z, xi)] + [
@@ -353,7 +388,8 @@ def test_fit_mixture_converged_is_the_relative_certificate(two_point_data, monke
         for values, cut in samples:
             z0 = values[values <= cut]
             fit = fit_mixture(values, xi=cut)
-            gap = _mixture_gap_direct(z0, cut, fit.grid, fit.weights_eta)
+            means, counts = _bins(z0)
+            gap = _mixture_gap_direct(means, cut, fit.grid, fit.weights_eta, counts)
             assert fit.converged == (gap <= 1e-10 * z0.size)
             assert fit.converged == (cap > 1)
             assert fit.kkt_gap == pytest.approx(gap, rel=1e-6, abs=1e-9)
@@ -403,6 +439,17 @@ def test_fit_mixture_converges_at_large_n(seed):
     fit = fit_mixture(values, xi=xi)
     assert fit.converged
     assert fit.kkt_gap <= 1e-10 * int((values <= xi).sum())
+
+
+def test_far_left_statistic_gets_its_own_atom():
+    # one null at -1e3 gets an atom at its own value, and the regular atoms
+    # are the sample's own, so the fitted tail at the same cut barely moves
+    z = generate(SimScenario(TwoPointPrior(0.8), base_seed=7000), 0).values
+    xi = resolve_cut(z)
+    fit = fit_mixture(z, xi=xi)
+    far = fit_mixture(np.append(z, -1e3), xi=xi)
+    np.testing.assert_array_equal(far.grid, np.append(-1e3, fit.grid))
+    assert far.sf(2.0) == pytest.approx(fit.sf(2.0), rel=1e-3)
 
 
 def test_fit_mixture_grid_validation():

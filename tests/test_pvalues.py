@@ -4,14 +4,15 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
 from ebnull.nullmodel import GaussianNull, MixtureNull, NullModel, StatSample, select_null
 from ebnull.procedures import bh, c_storey_bh, d_storey_bh, storey_bh, storey_pi0
 from ebnull.pvalues import PValueVector, eb_pvalues, standard_pvalues
-from ebnull.simulate import TwoPointPrior, pvalue_histogram
+from ebnull.simulate import (HalfNormalPrior, SimScenario, TwoPointPrior, generate,
+                             pvalue_histogram)
 
 
 def test_standard_pvalues_values():
@@ -134,3 +135,29 @@ def test_fitted_pvalues_feed_every_procedure(z):
             rejected = procedure(p, 0.1).rejected
             assert np.all(np.diff(rejected) > 0)
             assert np.all((rejected >= 0) & (rejected < len(z)))
+
+
+_priors = st.one_of(st.builds(TwoPointPrior, st.floats(min_value=0.0, max_value=1.0)),
+                    st.builds(HalfNormalPrior, st.floats(min_value=0.5, max_value=3.0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(prior=_priors, m=st.integers(500, 2000), seed=st.integers(0, 2**16),
+       far=st.lists(st.floats(min_value=1.0, max_value=6.0), min_size=1, max_size=3))
+@example(prior=TwoPointPrior(0.8), m=2000, seed=7000, far=[2.0])
+def test_fitted_pvalues_feed_every_procedure_with_far_nulls(prior, m, seed, far):
+    # simulated statistics plus 1-3 nulls at -10**far, log-uniform in
+    # [-1e6, -10]: the mixture still fits, no warning escapes, and the
+    # fitted-null p-values feed the four step-ups
+    sample = generate(SimScenario(prior, m=m, base_seed=seed), 0)
+    z = np.append(sample.values, -(10.0 ** np.asarray(far)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = select_null(z)
+        assert model.family_logliks["mixture"] is not None
+        p = eb_pvalues(z, model)
+        assert np.all((p.values >= 0.0) & (p.values <= 1.0))
+        for procedure in (bh, storey_bh, c_storey_bh, d_storey_bh):
+            rejected = procedure(p, 0.1).rejected
+            assert np.all(np.diff(rejected) > 0)
+            assert np.all((rejected >= 0) & (rejected < z.size))

@@ -35,8 +35,9 @@ def _csv_cell(text: str) -> str:
 
 def write_inputs(outdir: str):
     """Statistics as a 2e4-row CSV, as a plain file, as the CSV's first
-    850 rows (also behind a UTF-8 byte-order mark) and as the CSV plus one
-    row at -100, a 3000-row two-group matrix with blank and NA cells, and
+    850 rows (also behind a UTF-8 byte-order mark), as the CSV plus one
+    row at -100 and as the CSV plus rows at -1e3 and -1e6, a 3000-row
+    two-group matrix with blank and NA cells, and
     the inputs of the failing runs, among them the matrix's first rows
     under a header that names a group column twice."""
     rng = np.random.default_rng(20240)
@@ -53,8 +54,11 @@ def write_inputs(outdir: str):
         "stats-head.csv": "id,statistic\n" + "\n".join(rows[:850]) + "\n",
         # as a spreadsheet's "CSV UTF-8" export writes it
         "stats-head-bom.csv": "\ufeffid,statistic\n" + "\n".join(rows[:850]) + "\n",
-        # one statistic far below the rest, which stretches the mixture grid
+        # statistics far below the rest, each of which gets a mixture atom
+        # of its own
         "stats-far.csv": "id,statistic\n" + "\n".join(rows) + "\nfar,-100.0\n",
+        "stats-farther.csv": ("id,statistic\n" + "\n".join(rows)
+                              + "\nfar3,-1000.0\nfar6,-1000000.0\n"),
         # the same column named twice: the second cell holds other numbers
         "dup.csv": "id,statistic,statistic\n" + "".join(
             f"g{i},{v!r},{-v!r}\n" for i, v in enumerate(z[:200].tolist())),
@@ -104,6 +108,7 @@ def runs():
                                   "--tau", "1e-320", "--lambda-discard", "0"]),
         ("fit-null-far", ["fit-null", "--input", "stats-far.csv"]),
         ("test-far", ["test", "--input", "stats-far.csv"]),
+        ("test-farther", ["test", "--input", "stats-farther.csv"]),
         ("histogram", ["histogram", "--input", "stats.txt"]),
         ("simulate", ["simulate", "--n-reps", "20", "--seed", "3", *every]),
         ("tstats-welch", ["tstats", "--input", "matrix.csv", *groups]),
