@@ -382,8 +382,8 @@ def _mixture_columns(z, grid, log_below):
     L[i, k] = log phi(z_i - mu_k) - log_below[k], log_below being log Phi(xi - grid).
     The shift keeps the rows well scaled; log-likelihoods add sum(row_shift) back.
     """
-    # built in place: one n-by-k array, where each step of the expression
-    # would allocate another (the CLI's fit has n near 1.7e5)
+    # built in place: the exact-data pass is n by the used atoms (1.7e5 by 8
+    # in the CLI), and the expression form raised its peak RSS 279.0 -> 281.6 MB
     logcols = z[:, None] - grid[None, :]
     logcols *= logcols
     logcols *= -0.5
@@ -428,10 +428,10 @@ def _solve_weights_mixsqp(A, c):
         np.multiply(A, (root_c * u)[:, None], out=B)
         H = B.T @ B / N
         # H has rank well below K.  A ridge in proportion to each diagonal
-        # entry makes it positive definite without damping the support's
-        # weak directions, which a ridge on the mean diagonal (set by the
-        # far atoms) slows to linear convergence at n near 1.7e5; the
-        # floor keeps a column that underflows to zero factorable
+        # entry makes it positive definite without damping the support's weak
+        # directions; a ridge on the mean diagonal does, and took 107 steps
+        # against 80 on eight CLI-sized inputs, 2848 against 2805 on 320 sim
+        # fits.  The floor keeps a column that underflows to zero factorable
         ridge = _MIX_RIDGE * (np.diag(H) + _MIX_RIDGE * np.trace(H) / K)
         H[np.diag_indices(K)] += ridge
         R = np.linalg.cholesky(H).T
@@ -441,8 +441,9 @@ def _solve_weights_mixsqp(A, c):
         # small g, not from Hx, keeps its rounding in proportion to the step
         y = nnls(R, R @ x - solve_triangular(R, g, trans="T"))[0]
         p = y - x
-        # one Newton refinement of the model on y's support brings p to its
-        # own precision, which the last steps before the certificate need
+        # nnls gives y to a precision set by x, not by p, and on one CLI input
+        # the last step (7e-10, off by 7e-11) then failed its line search; one
+        # Newton refinement on y's support gives p a precision set by p itself
         free = y > 0.0
         p[free] -= np.linalg.solve(H[np.ix_(free, free)], (g + H @ p)[free])
         p = np.maximum(x + p, 0.0) - x

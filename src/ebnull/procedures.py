@@ -111,11 +111,11 @@ def storey_pi0(pvalues, lam: float = 0.5) -> float:
 
 
 def storey_bh(pvalues, q: float, lam: float = 0.5) -> RejectionResult:
-    """Adaptive BH with Storey's estimate clipped into [1/m, 1]."""
+    """Adaptive BH with Storey's estimate capped at 1; never below 1/m."""
     _check_q(q)
-    vals = _as_pvalues(pvalues)
-    pi0 = min(max(storey_pi0(pvalues, lam), 1.0 / vals.size), 1.0)
-    return _step_up(vals, q, pi0)
+    if not isinstance(pvalues, PValueVector):  # checked once, not once per use
+        pvalues = PValueVector(pvalues)
+    return _step_up(pvalues.values, q, min(storey_pi0(pvalues, lam), 1.0))
 
 
 def c_storey_bh(

@@ -141,8 +141,11 @@ class SimSummary:
 
     scenario: SimScenario
     methods: dict = field(default_factory=dict)
-    n_reps_used: int = 0
     n_failures: int = 0
+
+    @property
+    def n_reps_used(self) -> int:
+        return self.scenario.n_reps - self.n_failures
 
 
 def generate(scenario: SimScenario, rep_index: int) -> StatSample:
@@ -269,12 +272,7 @@ def run_scenario(
         method: MethodSummary(*_mean_se(fdps), *_mean_se(tpps))
         for method, (fdps, tpps) in rows.items()
     }
-    return SimSummary(
-        scenario=scenario,
-        methods=summaries,
-        n_reps_used=scenario.n_reps - failures,
-        n_failures=failures,
-    )
+    return SimSummary(scenario=scenario, methods=summaries, n_failures=failures)
 
 
 # ---------------------------------------------------------------------------

@@ -400,7 +400,10 @@ def test_fit_mixture_converged_is_the_relative_certificate(two_point_data, monke
     np.repeat(np.random.default_rng(43).standard_normal(20), 15),  # ties
     np.array([-1.0, 0.5, 2.0]),  # m = 3
     np.append(np.random.default_rng(47).standard_normal(500), -1e6),  # one far value
-], ids=["all-positive", "ties", "m=3", "far-outlier"])
+    np.append(np.random.default_rng(53).standard_normal(500), [-1e6, -2e6]),  # two far values
+    -1.0 + 1e-12 * np.random.default_rng(59).uniform(-1.0, 1.0, 300),  # near-constant
+], ids=["all-positive", "ties", "m=3", "far-outlier", "two-far-outliers",
+        "near-constant"])
 def test_fit_mixture_degenerate_inputs_converge(values):
     xi = resolve_cut(values)
     z0 = values[values <= xi]
@@ -426,10 +429,11 @@ def test_far_negative_cut_untilts_in_logs():
     assert np.all(p >= 0.5)
 
 
-@pytest.mark.parametrize("seed", [7, 201, 202])
+@pytest.mark.parametrize("seed", [5, 7, 201, 202])
 def test_fit_mixture_converges_at_large_n(seed):
     # 199 000 one-sided-prior statistics and 1000 strong signals near z = 12,
-    # about 1.7e5 of them below the cut: the input of the CLI benchmark
+    # about 1.7e5 of them below the cut: the input of the CLI benchmark.  At
+    # seed 5 the last step is confirmed only once the QP step is refined
     bulk = generate(SimScenario(HalfNormalPrior(1.0), m=199_000, pi0=0.9,
                                 alt_mean=3.0, base_seed=seed), 0)
     strong = generate(SimScenario(HalfNormalPrior(1.0), m=1000, pi0=0.001,

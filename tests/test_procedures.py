@@ -302,6 +302,19 @@ def test_rejections_are_the_pvalues_at_or_below_the_threshold(p, q, lam, tau,
         assert r.threshold == 0.0 or r.threshold in p, name
 
 
+@settings(max_examples=300, deadline=None)
+@given(p=_pvalue_lists, q=st.floats(0.001, 0.999),
+       lam=st.floats(0.0, 1.0, exclude_max=True))
+@example(p=[0.0] * 30, q=0.1, lam=0.0)  # the estimate's least value, 1/m
+def test_storey_pi0_is_never_below_one_over_m(p, q, lam):
+    # (1 + #{p > lam}) / (m (1 - lam)) >= 1 / m, and rounding keeps it so,
+    # hence storey_bh caps its estimate at 1 and needs no floor
+    vals = np.array(p)
+    pi0 = storey_pi0(vals, lam)
+    assert pi0 >= 1.0 / vals.size
+    assert storey_bh(vals, q, lam).pi0_hat == min(pi0, 1.0)
+
+
 def test_discarding_with_full_window_is_uncapped_storey():
     # lam=0, tau=1 turns the discarding scan into adaptive BH whose pi0
     # estimate (1 + m) / m is deliberately not capped at one
