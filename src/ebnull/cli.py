@@ -22,6 +22,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from itertools import chain, islice
 
@@ -87,8 +88,10 @@ def _parse_column(texts, linenos, what: str = "statistic") -> np.ndarray:
     return np.array([_parse_float(text, lineno, what) for text, lineno in zip(texts, linenos)])
 
 
-# data lines split and parsed at a time: the lists of one block are freed
-# before the next is built, so ingest holds little beyond its result
+# data lines split and parsed, or report records and rows formatted and
+# written, at a time: the lists and text of one block are freed before the
+# next is built, so ingest holds little beyond its result, a report little
+# beyond one block's text
 _BLOCK_LINES = 8192
 
 
@@ -191,25 +194,40 @@ _json_string = json.encoder.encode_basestring_ascii
 _JSON_BOOLS = ("false", "true")
 
 
-def _write_output(text: str, output: str | None):
+def _write_output(pieces, output: str | None):
+    """Write the text ``pieces`` in order to the file ``output``, or to
+    stdout when it is None; each piece is written as soon as it is drawn."""
     if output is None:
-        sys.stdout.write(text)
+        try:
+            for piece in pieces:
+                sys.stdout.write(piece)
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            # the reader has gone: point fd 1 at nothing, so that the flush
+            # at exit cannot raise again, and report the truncated output
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise CLIError(f"cannot write stdout: {exc.strerror or exc}")
     else:
         try:
             with open(output, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                for piece in pieces:
+                    fh.write(piece)
         except OSError as exc:
             raise CLIError(f"cannot write {output}: {exc.strerror or exc}")
 
 
-def _records_json(ids, statistic, p_std, p_eb, masks: dict) -> str:
-    """The ``records`` list of the test report, written column by column.
+def _records_json(ids, statistic, p_std, p_eb, masks: dict):
+    """The ``records`` list of the test report, yielded in pieces of
+    ``_BLOCK_LINES`` records, so no more than one block's text is held.
 
-    The text is what ``json.dumps(..., indent=2)`` gives for the list of
-    per-record dicts (``id``, ``statistic``, ``p_std``, ``p_eb`` and one
-    ``rejected`` flag per method), nested one level inside the report.
-    Statistics are finite and p-values lie in [0, 1], so each float's repr
-    is the text ``json.dumps`` writes for it.
+    The joined pieces are what ``json.dumps(..., indent=2)`` gives for the
+    list of per-record dicts (``id``, ``statistic``, ``p_std``, ``p_eb`` and
+    one ``rejected`` flag per method), nested one level inside the report;
+    ``ids`` None numbers the records from 0.  Statistics are finite and
+    p-values lie in [0, 1], so each float's repr is the text ``json.dumps``
+    writes for it.
     """
     flags = ",\n".join(f"        {_json_string(method)}: %s" for method in masks)
     template = (
@@ -223,12 +241,16 @@ def _records_json(ids, statistic, p_std, p_eb, masks: dict) -> str:
         "      }\n"
         "    }"
     )
-    columns = (
-        map(_json_string, ids),
-        *(map(float.__repr__, column.tolist()) for column in (statistic, p_std, p_eb)),
-        *([_JSON_BOOLS[flag] for flag in mask.tolist()] for mask in masks.values()),
-    )
-    return "[\n" + ",\n".join(map(template.__mod__, zip(*columns))) + "\n  ]"
+    yield "[\n"
+    for lo in range(0, len(statistic), _BLOCK_LINES):
+        hi = min(lo + _BLOCK_LINES, len(statistic))
+        columns = (
+            map(_json_string, map(str, range(lo, hi)) if ids is None else ids[lo:hi]),
+            *(map(float.__repr__, column[lo:hi].tolist()) for column in (statistic, p_std, p_eb)),
+            *([_JSON_BOOLS[flag] for flag in mask[lo:hi].tolist()] for mask in masks.values()),
+        )
+        yield (",\n" if lo else "") + ",\n".join(map(template.__mod__, zip(*columns)))
+    yield "\n  ]"
 
 
 def _config(args, *names, **resolved) -> dict:
@@ -269,7 +291,7 @@ def cmd_fit_null(args) -> int:
     _, model = _fit(args)
     report = _fit_block(model)
     report["config"] = _config(args, "input", "xi_quantile", "k")
-    _write_output(_report_json(report) + "\n", args.output)
+    _write_output([_report_json(report) + "\n"], args.output)
     return 0
 
 
@@ -282,10 +304,13 @@ def cmd_test(args) -> int:
     """Fit the null, run the procedures and write the JSON report.
 
     The text is what ``json.dumps(..., indent=2)`` gives for a report with
-    one record dict per statistic, but the records are written from
-    columns (``_records_json``) and spliced in after the config, fit and
-    methods blocks.  The procedures' settings are checked before the input
-    is read; input parse errors name their 1-based line number.
+    one record dict per statistic.  The config, fit and methods blocks are
+    encoded first, then the records stream to the output in blocks
+    (``_records_json``), so the whole report is never held in memory.  All
+    that can refuse runs before the first byte is written: the procedures'
+    settings are checked before the input is read, input parse errors name
+    their 1-based line number, and the head is encoded with NaN and inf
+    refused.
     """
     methods = _resolve_methods(args)
     settings = (args.q, args.tau, args.lambda_storey, args.lambda_discard)
@@ -312,14 +337,14 @@ def cmd_test(args) -> int:
     }
     head = _report_json(report)
     records = _records_json(
-        sample.ids or tuple(map(str, range(len(sample)))),
+        sample.ids,
         sample.values,
         p_std.values,
         p_eb.values,
         {method: results[method].mask() for method in methods},
     )
-    # the empty list closes the text; the records go in its place
-    _write_output(head[: -len("[]\n}")] + records + "\n}\n", args.output)
+    # the empty list closes the head; the records go in its place
+    _write_output(chain([head[: -len("[]\n}")]], records, ["\n}\n"]), args.output)
     return 0
 
 
@@ -349,6 +374,7 @@ def cmd_simulate(args) -> int:
                      "tau", "lambda_storey", "lambda_discard", "xi_quantile", "k",
                      methods=list(methods), rho_grid=list(rho_grid),
                      sigma0_grid=list(sigma0_grid))
+    # held until the last prior is run, so a failing one leaves no partial CSV
     buf = io.StringIO()
     buf.write("# config: " + json.dumps(config, default=_json_default) + "\n")
     buf.write("scenario,param,method,fdr,fdr_se,tpr,tpr_se,n_reps,seed\n")
@@ -371,7 +397,7 @@ def cmd_simulate(args) -> int:
                 f"{stats.fdr!r},{stats.fdr_se!r},{stats.tpr!r},{stats.tpr_se!r},"
                 f"{summary.n_reps_used},{args.seed}\n"
             )
-    _write_output(buf.getvalue(), args.output)
+    _write_output([buf.getvalue()], args.output)
     return 0
 
 
@@ -391,7 +417,7 @@ def cmd_histogram(args) -> int:
         "xi": model.cut_xi,
         "pi0_hat": min(storey_pi0(p_eb, args.lambda_storey), 1.0),
     }
-    _write_output(_report_json(report) + "\n", args.output)
+    _write_output([_report_json(report) + "\n"], args.output)
     return 0
 
 
@@ -407,6 +433,25 @@ def _row_moments(x: np.ndarray):
         values = x[rows][present[rows]].reshape(-1, k)
         mean[rows], var[rows] = values.mean(axis=1), values.var(axis=1, ddof=1)
     return n, mean, var
+
+
+def _tstats_rows(ids: list, t, df, z):
+    """The ``tstats`` CSV header, then its rows, yielded in pieces of
+    ``_BLOCK_LINES`` rows."""
+    buf = io.StringIO()
+    # csv quotes an id that holds a comma or quote; floats are written as repr.
+    # An id led by "#" is quoted too, or ``_data_lines`` would skip its line
+    writer = csv.writer(buf, lineterminator="\n")
+    quoting = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
+    writer.writerow(("id", "t", "df", "statistic"))
+    yield buf.getvalue()
+    for lo in range(0, len(ids), _BLOCK_LINES):
+        hi = lo + _BLOCK_LINES
+        buf.seek(0)
+        buf.truncate()
+        for row in zip(ids[lo:hi], t[lo:hi].tolist(), df[lo:hi].tolist(), z[lo:hi].tolist()):
+            (quoting if row[0].lstrip().startswith("#") else writer).writerow(row)
+        yield buf.getvalue()
 
 
 def cmd_tstats(args) -> int:
@@ -468,16 +513,9 @@ def cmd_tstats(args) -> int:
 
     config = _config(args, "input", "group_a", "group_b", "pooled",
                      group_a=group_a, group_b=group_b)
-    buf = io.StringIO()
-    buf.write("# config: " + json.dumps(config, default=_json_default) + "\n")
-    # csv quotes an id that holds a comma or quote; floats are written as repr.
-    # An id led by "#" is quoted too, or ``_data_lines`` would skip its line
-    writer = csv.writer(buf, lineterminator="\n")
-    quoting = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
-    writer.writerow(("id", "t", "df", "statistic"))
-    for row in zip(ids, t.tolist(), df.tolist(), z.tolist()):
-        (quoting if row[0].lstrip().startswith("#") else writer).writerow(row)
-    _write_output(buf.getvalue(), args.output)
+    _write_output(chain(["# config: " + json.dumps(config, default=_json_default) + "\n"],
+                        _tstats_rows(ids, t, df, z)),
+                  args.output)
     return 0
 
 

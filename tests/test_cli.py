@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -335,7 +339,7 @@ def _per_record_report(path, methods, written):
     masks = {method: results[method].mask() for method in methods}
     records = [
         {
-            "id": sample.ids[i],
+            "id": str(i) if sample.ids is None else sample.ids[i],
             "statistic": sample.values[i],
             "p_std": p_std.values[i],
             "p_eb": p_eb.values[i],
@@ -359,19 +363,80 @@ def _per_record_report(path, methods, written):
     return json.dumps(report, indent=2, default=cli._json_default) + "\n"
 
 
-@pytest.mark.parametrize("methods", [("proposed",), METHOD_NAMES],
-                         ids=["one-method", "all-methods"])
-def test_test_report_bytes_match_per_record_writer(awkward_ids_file, tmp_path,
-                                                   capsys, methods):
+def _plain_file(tmp_path, m):
+    rng = np.random.default_rng(m)
+    z = np.concatenate([-np.abs(rng.normal(0.0, 1.5, m - 2)), rng.normal(3.5, 1.0, 2)])
+    return _write(tmp_path / f"plain-{m}.txt", "\n".join(map(repr, z.tolist())) + "\n")
+
+
+# in blocks of 7 records, the 200 awkward rows are 28 blocks and 4, 14 plain
+# rows 2 blocks, and 15 plain rows end in a block of one; ``test`` cannot fit
+# fewer than 2 statistics at or below the cut, so m = 1 itself is no report
+@pytest.mark.parametrize("source, methods, block_lines", [
+    pytest.param("awkward", ("proposed",), None, id="one-method"),
+    pytest.param("awkward", METHOD_NAMES, None, id="all-methods"),
+    pytest.param("awkward", METHOD_NAMES, 7, id="all-methods-blocks-of-7"),
+    pytest.param(14, METHOD_NAMES, 7, id="plain-14-blocks-of-7"),
+    pytest.param(15, METHOD_NAMES, 7, id="plain-15-blocks-of-7"),
+])
+def test_test_report_bytes_match_per_record_writer(request, tmp_path, capsys, monkeypatch,
+                                                   source, methods, block_lines):
+    if block_lines is not None:
+        monkeypatch.setattr(cli, "_BLOCK_LINES", block_lines)
+    path = (request.getfixturevalue("awkward_ids_file") if source == "awkward"
+            else _plain_file(tmp_path, source))
     flags = [arg for method in methods for arg in ("--method", method)]
     out = tmp_path / "report.json"
-    assert main(["test", "--input", awkward_ids_file, *flags, "--output", str(out)]) == 0
+    assert main(["test", "--input", path, *flags, "--output", str(out)]) == 0
     written = out.read_text(encoding="utf-8")
-    assert written == _per_record_report(awkward_ids_file, methods, written)
-    assert [r["id"] for r in json.loads(written)["records"][:6]] == _AWKWARD_IDS
+    assert written == _per_record_report(path, methods, written)
+    ids = _AWKWARD_IDS if source == "awkward" else list(map(str, range(source)))
+    assert [r["id"] for r in json.loads(written)["records"]][: len(ids)] == ids
 
-    assert main(["test", "--input", awkward_ids_file, *flags]) == 0
+    assert main(["test", "--input", path, *flags]) == 0
     assert capsys.readouterr().out == written
+
+
+def _traced_peak(argv) -> int:
+    """Bytes at the peak of Python and numpy allocations while ``main`` runs."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_test_report_streams_to_its_output(tmp_path):
+    # the records are written block by block, so the report costs far less
+    # memory than its own size on top of the fit that ``fit-null`` makes
+    sample = generate(sim.SimScenario(sim.HalfNormalPrior(1.0), m=50_000), 0)
+    rows = [f"s{i},{v!r}" for i, v in enumerate(sample.values.tolist())]
+    path = _write(tmp_path / "large.csv", "id,statistic\n" + "\n".join(rows) + "\n")
+    out = str(tmp_path / "report.json")
+    assert main(["test", "--input", path, "--output", out]) == 0  # imports, untraced
+    fit_peak = _traced_peak(["fit-null", "--input", path, "--output", str(tmp_path / "fit.json")])
+    test_peak = _traced_peak(["test", "--input", path, "--output", out])
+    assert test_peak - fit_peak < os.path.getsize(out) / 2
+
+
+def test_closed_stdout_is_one_error_line(tmp_path):
+    # a reader that stops early: the report is cut short, and the run says so
+    path = _plain_file(tmp_path, 5000)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.Popen([sys.executable, "-m", "ebnull.cli", "test", "--input", path],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.read(100).startswith(b"{")
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 1
+    finally:
+        proc.kill()
+        proc.wait()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert err.count("\n") == 1  # one JSON line, no traceback
+    assert json.loads(err) == {"error": "cannot write stdout: Broken pipe"}
 
 
 def test_test_refuses_a_nan_pvalue(awkward_ids_file, tmp_path, capsys, monkeypatch):
@@ -524,7 +589,7 @@ def _assert_matches_scipy(row, a, b, equal_var):
                               rel=1e-10)
 
 
-def test_tstats_matches_scipy_welch(tmp_path, capsys):
+def test_tstats_matches_scipy_welch(tmp_path, capsys, monkeypatch):
     rng = np.random.default_rng(23)
     a = rng.normal(0.0, 1.0, (6, 4))
     b = rng.normal(0.5, 1.3, (6, 5))
@@ -538,9 +603,16 @@ def test_tstats_matches_scipy_welch(tmp_path, capsys):
     assert main(["tstats", "--input", str(path),
                  "--group-a", "a0,a1,a2,a3",
                  "--group-b", "b0,b1,b2,b3,b4"]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    text = capsys.readouterr().out
+    lines = text.splitlines()
     assert lines[1] == "id,t,df,statistic"
     got = {row.split(",")[0]: _tstats_row(row) for row in lines[2:]}
+    # rows written in blocks of 4 and 2 keep their bytes
+    monkeypatch.setattr(cli, "_BLOCK_LINES", 4)
+    assert main(["tstats", "--input", str(path),
+                 "--group-a", "a0,a1,a2,a3",
+                 "--group-b", "b0,b1,b2,b3,b4"]) == 0
+    assert capsys.readouterr().out == text
     for i in range(6):
         aa = [float(f"{x:.9f}") for x in a[i]]
         bb = [float(f"{x:.9f}") for x in b[i]]
