@@ -61,6 +61,8 @@ _MIX_RIDGE = 1e-10
 _MIX_ARMIJO = 0.01
 _MIX_MIN_STEP = 1e-10
 _MIX_MAX_ITER = 200
+# plain EM steps taken from the uniform start before the first SQP step
+_MIX_EM_STEPS = 10
 # the least share of its density a line-search step leaves any bin
 _MIX_THETA = 1e-12
 
@@ -400,22 +402,30 @@ def _solve_weights_mixsqp(A, c):
     rows of A being bins with counts c and N = sum(c); the minimizer lies on
     the simplex and maximizes the binned log-likelihood there (mixsqp: Kim,
     Carbonetto, Stephens & Anitescu 2020).  The plain program is the case
-    c = 1.  Each step solves the quadratic model with Hessian
-    (A sqrt(c) u)'(A sqrt(c) u) / N, u = 1 / (Ax), as a non-negative least-
-    squares problem on its Cholesky factor, takes a backtracking Armijo step
-    toward that solution, and rescales x onto the simplex, which never
-    raises f.  The search starts at the longest step that leaves every bin
-    at least ``_MIX_THETA`` of its density, so no density reaches 0.  The
-    loop stops when the relative KKT gap ``max_k (A'(c u))_k / N - 1`` falls
-    to ``_MIX_TOL``, when a step makes no progress, or after
-    ``_MIX_MAX_ITER`` steps.  Returns the weights x, the step count, the
-    gap in nats (N times the relative gap, a bound on the binned log-
-    likelihood still to gain) and whether the gap met the tolerance.
+    c = 1.  From the uniform start, ``_MIX_EM_STEPS`` plain EM steps
+    x <- x * A'(c u) / N, u = 1 / (Ax), come first: they keep every weight
+    positive, so no later step empties an atom that alone explains a bin
+    (a QP step from the uniform start can, and each later step only
+    doubles such an atom's weight).  Each SQP step then solves the quadratic
+    model with Hessian (A sqrt(c) u)'(A sqrt(c) u) / N as a non-negative
+    least-squares problem on its Cholesky factor, takes a backtracking
+    Armijo step toward that solution, and rescales x onto the simplex,
+    which never raises f.  The search starts at the longest step that
+    leaves every bin at least ``_MIX_THETA`` of its density, so no density
+    reaches 0.  The loop stops when the relative KKT gap
+    ``max_k (A'(c u))_k / N - 1`` falls to ``_MIX_TOL``, when a step makes
+    no progress or nnls reaches its own iteration cap, or after
+    ``_MIX_MAX_ITER`` SQP steps.  Returns the weights x, the number of SQP
+    steps (the EM steps not counted), the gap in nats (N times the
+    relative gap, a bound on the binned log-likelihood still to gain) and
+    whether the gap met the tolerance.
     """
     K = A.shape[1]
     N = float(c.sum())
     root_c = np.sqrt(c)
     x = np.full(K, 1.0 / K)
+    for _ in range(_MIX_EM_STEPS):
+        x *= A.T @ (c / (A @ x)) / N
     d = A @ x
     B = np.empty_like(A)  # the rows of A scaled by sqrt(c) u, rewritten each step
     iterations = 0
@@ -439,14 +449,11 @@ def _solve_weights_mixsqp(A, c):
         # the model g'p + p'Hp/2 of the step p = y - x, over y >= 0, is
         # ||Ry - (Rx - R^-T g)||^2 / 2 + const; forming the target from the
         # small g, not from Hx, keeps its rounding in proportion to the step
-        y = nnls(R, R @ x - solve_triangular(R, g, trans="T"))[0]
+        try:
+            y = nnls(R, R @ x - solve_triangular(R, g, trans="T"))[0]
+        except RuntimeError:  # nnls hit its own iteration cap
+            break
         p = y - x
-        # nnls gives y to a precision set by x, not by p, and on one CLI input
-        # the last step (7e-10, off by 7e-11) then failed its line search; one
-        # Newton refinement on y's support gives p a precision set by p itself
-        free = y > 0.0
-        p[free] -= np.linalg.solve(H[np.ix_(free, free)], (g + H @ p)[free])
-        p = np.maximum(x + p, 0.0) - x
         slope = float(g @ p)
         if not slope < 0.0:
             break
@@ -502,18 +509,20 @@ def fit_mixture(sample, xi: float, k: int = _GRID_K) -> MixtureNull:
     tilted weight coordinates (a concave program over the simplex); the
     plain mixing weights are recovered by undoing the tilt.
 
-    The weights come from sequential quadratic programming (mixsqp) from
-    the uniform start: each step solves a non-negative quadratic model of
-    the binned log-likelihood and takes a backtracking line-search step
-    toward its solution, never far enough to send a bin's density to 0.
-    ``kkt_gap`` is the largest directional derivative of adding any atom to
-    the binned program, in nats: it bounds how far the binned log-
-    likelihood is below its maximum.  ``converged`` means the gap fell to
-    1e-10 per truncated statistic, and ``iterations`` counts the steps
-    taken.  The solver also stops, unconverged, when a step makes no
-    progress or after 200 steps.  ``loglik`` is the truncated log-
-    likelihood of the fitted weights on the exact statistics, computed in
-    one pass over the atoms with positive weight and the atom at 0.
+    The weights come from sequential quadratic programming (mixsqp), after
+    10 EM steps from the uniform start: each SQP step solves a non-negative
+    quadratic model of the binned log-likelihood and takes a backtracking
+    line-search step toward its solution, never far enough to send a bin's
+    density to 0.  ``kkt_gap`` is the largest directional derivative of
+    adding any atom to the binned program, in nats: it bounds how far the
+    binned log-likelihood is below its maximum.  ``converged`` means the
+    gap fell to 1e-10 per truncated statistic, and ``iterations`` counts
+    the SQP steps taken after the EM steps.  The solver also stops,
+    unconverged, when a step makes no progress, when the non-negative
+    least-squares solver does not finish, or after 200 SQP steps.
+    ``loglik`` is the truncated log-likelihood of the fitted weights on the
+    exact statistics, computed in one pass over the atoms with positive
+    weight and the atom at 0.
     Statistics so large in magnitude that the log-density columns
     overflow, or whose fitted density underflows to 0, raise ``ValueError``
     or give a non-finite ``loglik``; floating-point warnings are off, as
@@ -561,10 +570,15 @@ def fit_mixture(sample, xi: float, k: int = _GRID_K) -> MixtureNull:
     # the bound puts eps / Phi(xi) at 0 against (1 - eps) sum_k exp(log_p_k)
     eps = 1.0 if spare(1.0) >= 0.0 else brentq(spare, 0.0, 1.0)
     log_p = np.log(eta) - log_below
-    tail_mass = special.expit(np.log(eps) - log_below[-1] - np.log1p(-eps)
-                              - special.logsumexp(log_p))
-    weights_p = np.exp(log_p - log_p.max())
+    top = int(np.argmax(log_p))
+    weights_p = np.exp(log_p - log_p[top])
+    weights_p[top] = 0.0
+    # log sum_k exp(log_p_k) summed as scipy.special.logsumexp sums it, the
+    # largest term split out under a log1p, without its array-API dispatch
+    log_total = np.log1p(weights_p.sum()) + log_p[top]
+    weights_p[top] = 1.0
     weights_p /= weights_p.sum()
+    tail_mass = special.expit(np.log(eps) - log_below[-1] - np.log1p(-eps) - log_total)
     return MixtureNull(
         grid=grid,
         weights_p=weights_p,
