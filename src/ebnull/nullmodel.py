@@ -215,16 +215,16 @@ class MixtureNull:
     ``grid`` holds the atoms in increasing order, ending at 0: the regular,
     equally spaced ones and, below them, up to four far atoms, one at each
     far-left bin of the fitted sample (``fit_mixture``).  ``weights_p`` are
-    the maximum-likelihood mixing weights and ``weights_eta`` the
-    truncation-tilted weights the concave program optimizes over (each
-    atom's weight times its chance of landing below the cut,
-    renormalized).  The law ``sf`` reads is ``1 - tail_mass``
+    the maximum-likelihood mixing weights.  The truncation-tilted weights
+    the concave program optimizes over, each atom's weight times its chance
+    of landing below the cut xi, renormalized, are rebuilt in logs as
+    ``log(weights_p) + log_ndtr(xi - grid)``, the way ``fit_mixture`` undoes
+    the tilt.  The law ``sf`` reads is ``1 - tail_mass``
     times ``weights_p`` plus ``tail_mass`` on the grid's last atom, 0.
     """
 
     grid: np.ndarray
     weights_p: np.ndarray
-    weights_eta: np.ndarray
     loglik: float
     iterations: int
     converged: bool
@@ -507,7 +507,9 @@ def fit_mixture(sample, xi: float, k: int = _GRID_K) -> MixtureNull:
     smallest statistic that is not, and each bin below them gets an atom at
     its mean (at most 4 more).  The optimization runs in the truncation-
     tilted weight coordinates (a concave program over the simplex); the
-    plain mixing weights are recovered by undoing the tilt.
+    plain mixing weights ``weights_p`` are recovered by undoing the tilt in
+    logs, and ``log(weights_p) + log_ndtr(xi - grid)``, renormalized,
+    gives the tilted weights back.
 
     The weights come from sequential quadratic programming (mixsqp), after
     10 EM steps from the uniform start: each SQP step solves a non-negative
@@ -582,7 +584,6 @@ def fit_mixture(sample, xi: float, k: int = _GRID_K) -> MixtureNull:
     return MixtureNull(
         grid=grid,
         weights_p=weights_p,
-        weights_eta=eta,
         loglik=loglik,
         iterations=iterations,
         converged=converged,

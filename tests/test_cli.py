@@ -492,10 +492,29 @@ def test_simulate_both_grids(tmp_path):
                                             ("half_normal", "1.5")]
 
 
+def test_simulate_default_grids(tmp_path):
+    # without a grid flag, simulate runs both default grids
+    out = tmp_path / "default.csv"
+    assert main(["simulate", "--n-reps", "1", "--method", "stbh",
+                 "--output", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    config = json.loads(lines[0][len("# config: "):])
+    assert config["rho_grid"] == list(cli.DEFAULT_RHO_GRID)
+    assert config["sigma0_grid"] == list(cli.DEFAULT_SIGMA0_GRID)
+    rows = [line.split(",") for line in lines[2:]]
+    assert [(r[0], float(r[1])) for r in rows] == (
+        [("two_point", rho) for rho in cli.DEFAULT_RHO_GRID]
+        + [("half_normal", sigma0) for sigma0 in cli.DEFAULT_SIGMA0_GRID])
+    assert len(rows) == 12 and all(r[2] == "stbh" for r in rows)
+
+
 def test_simulate_bad_grid(capsys):
     assert main(["simulate", "--rho-grid", "abc", "--n-reps", "1"]) == 1
     err = json.loads(capsys.readouterr().err)
     assert "rho-grid" in err["error"]
+    # a grid flag that names no value is an error, not the default grid
+    assert main(["simulate", "--rho-grid", ",", "--n-reps", "1"]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "--rho-grid grid is empty"}
 
 
 def test_simulate_rejects_bad_xi_quantile(capsys):

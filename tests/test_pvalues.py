@@ -46,8 +46,7 @@ def test_eb_pvalues_stay_positive_in_the_right_tail():
     # 1 - F0_hat(20) rounds to 0; the survival function keeps the tail
     gauss = GaussianNull(mu0=-0.8, loglik=0.0, iterations=1, converged=True)
     mix = MixtureNull(grid=np.array([-2.0, 0.0]), weights_p=np.array([0.4, 0.6]),
-                      weights_eta=np.array([0.5, 0.5]), loglik=0.0,
-                      iterations=1, converged=True, kkt_gap=0.0,
+                      loglik=0.0, iterations=1, converged=True, kkt_gap=0.0,
                       tail_mass=0.0)
     s = StatSample(values=[20.0])
     for variant, expected in ((gauss, norm.sf(20.8)),
