@@ -57,14 +57,20 @@ class CLIError(ValueError):
 # input handling
 
 
-def _normalize_number(text: str) -> str:
-    # tolerate the typographic minus that spreadsheet exports sometimes emit
-    return text.strip().replace("−", "-")
+def _number(text: str) -> float:
+    """The number a cell or grid entry writes, as ``float`` reads it, but with
+    the typographic minus that spreadsheet exports sometimes emit taken for
+    "-", and the digit-group underscores ``float`` accepts (``1_5`` is 15.0)
+    refused with ``ValueError``: in a data file they are a typo."""
+    text = text.strip().replace("−", "-")
+    if "_" in text:
+        raise ValueError(text)
+    return float(text)
 
 
 def _parse_float(text: str, lineno: int, what: str) -> float:
     try:
-        value = float(_normalize_number(text))
+        value = _number(text)
     except ValueError:
         raise CLIError(f"line {lineno}: cannot parse {what} from {text.strip()!r}")
     if not np.isfinite(value):
@@ -75,16 +81,18 @@ def _parse_float(text: str, lineno: int, what: str) -> float:
 def _parse_column(texts, linenos, what: str = "statistic") -> np.ndarray:
     """Numbers of one column, parsed in one pass.
 
-    A cell that is unparseable, non-finite or written with the typographic
-    minus sends the column through ``_parse_float`` cell by cell, which
-    normalizes the minus and names the first bad cell's 1-based line.
+    A block holding an underscore, or a cell that is unparseable,
+    non-finite or written with the typographic minus, sends the column
+    through ``_parse_float`` cell by cell, which reads each cell by
+    ``_number`` and names the first bad cell's 1-based line.
     """
-    try:
-        values = np.array([float(text) for text in texts])
-        if np.isfinite(values).all():
-            return values
-    except ValueError:
-        pass
+    if "_" not in "".join(texts):  # one search per block, not one per cell
+        try:
+            values = np.array([float(text) for text in texts])
+            if np.isfinite(values).all():
+                return values
+        except ValueError:
+            pass
     return np.array([_parse_float(text, lineno, what) for text, lineno in zip(texts, linenos)])
 
 
@@ -154,7 +162,7 @@ def ingest_statistics(path: str) -> StatSample:
     if first is None:
         raise CLIError(f"{path}: no statistics found")
     try:
-        float(_normalize_number(first[1]))
+        _number(first[1].replace("_", ""))  # an underscore is refused by the parse below
     except ValueError:
         header = [cell.strip() for cell in _split_row(first[1], first[0])]
         if "statistic" not in header:
@@ -352,7 +360,7 @@ def _parse_grid(text: str | None, name: str) -> tuple[float, ...]:
     if text is None:
         return ()
     try:
-        values = tuple(float(_normalize_number(v)) for v in text.split(",") if v.strip())
+        values = tuple(_number(v) for v in text.split(",") if v.strip())
     except ValueError:
         raise CLIError(f"cannot parse --{name} grid from {text!r}")
     if not values:

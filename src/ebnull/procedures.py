@@ -6,7 +6,10 @@ rescaled p-values at or below a threshold tau, and the discarding variant
 whose null-proportion estimate and threshold scan ignore p-values above
 tau.  All four share one step-up scan: the largest candidate s with
 m * pi0 * s / #{p <= s} <= q, then every p <= s is rejected; they differ
-only in pi0 and in the candidate set.  All procedures return the same
+only in pi0 and in the candidate set.  The candidates are read off the
+``PValueVector``'s one sorted copy: all of it, or for the conditional and
+discarding variants its prefix at or below tau, so a vector passed to
+several procedures is sorted once.  All procedures return the same
 result record and operate purely on p-value vectors; no calibration logic
 lives here.  Invalid p-values or parameters raise ``ValueError``.
 """
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pvalues import PValueVector, _as_pvalues
+from .pvalues import _as_pvalues, _as_vector
 
 
 @dataclass(frozen=True)
@@ -68,11 +71,11 @@ def _check_lambda(lam: float):
 
 
 def _step_up(vals: np.ndarray, q: float, pi0: float,
-             scan: np.ndarray | None = None) -> RejectionResult:
-    """Reject every p at or below the largest candidate (of ``scan``, all of
-    ``vals`` by default) whose estimated FDP m * pi0 * p / k is at most q,
-    with m = ``vals.size`` and k the candidate's 1-based position in sorted
-    order; the threshold is 0.0 when none passes.
+             ordered: np.ndarray) -> RejectionResult:
+    """Reject every p at or below the largest candidate, of the ascending
+    candidates ``ordered``, whose estimated FDP m * pi0 * p / k is at most
+    q, with m = ``vals.size`` and k the candidate's 1-based position; the
+    threshold is 0.0 when none passes.
 
     At the last position of a tie k equals #{p <= s}, so this is the
     largest passing candidate s of the count-based definition.  For finite
@@ -82,7 +85,6 @@ def _step_up(vals: np.ndarray, q: float, pi0: float,
     rejects exactly the zeros.  The result holds no procedure name or q.
     """
     m = vals.size
-    ordered = np.sort(vals if scan is None else scan)
     with np.errstate(invalid="ignore"):  # inf * 0 when pi0 = inf
         fdp_hat = m * pi0 * ordered / np.arange(1, ordered.size + 1)
     passing = np.flatnonzero(fdp_hat <= q)
@@ -91,10 +93,20 @@ def _step_up(vals: np.ndarray, q: float, pi0: float,
                            pi0_hat=pi0, m=m)
 
 
+def _at_or_below(ordered: np.ndarray, tau: float) -> np.ndarray:
+    """The prefix of the ascending ``ordered`` at or below tau."""
+    return ordered[: np.searchsorted(ordered, tau, side="right")]
+
+
 def bh(pvalues, q: float) -> RejectionResult:
     """Benjamini-Hochberg step-up at level q."""
     _check_q(q)
-    return _step_up(_as_pvalues(pvalues), q, 1.0)
+    p = _as_vector(pvalues)
+    return _step_up(p.values, q, 1.0, p._ordered)
+
+
+def _storey_pi0(vals: np.ndarray, lam: float) -> float:
+    return float((1.0 + (vals > lam).sum()) / (vals.size * (1.0 - lam)))
 
 
 def storey_pi0(pvalues, lam: float = 0.5) -> float:
@@ -104,18 +116,16 @@ def storey_pi0(pvalues, lam: float = 0.5) -> float:
     """
     _check_lambda(lam)
     vals = _as_pvalues(pvalues)
-    m = vals.size
-    if m == 0:
+    if vals.size == 0:
         raise ValueError("cannot estimate pi0 from an empty vector")
-    return float((1.0 + (vals > lam).sum()) / (m * (1.0 - lam)))
+    return _storey_pi0(vals, lam)
 
 
 def storey_bh(pvalues, q: float, lam: float = 0.5) -> RejectionResult:
     """Adaptive BH with Storey's estimate capped at 1; never below 1/m."""
     _check_q(q)
-    if not isinstance(pvalues, PValueVector):  # checked once, not once per use
-        pvalues = PValueVector(pvalues)
-    return _step_up(pvalues.values, q, min(storey_pi0(pvalues, lam), 1.0))
+    p = _as_vector(pvalues)
+    return _step_up(p.values, q, min(storey_pi0(p, lam), 1.0), p._ordered)
 
 
 def c_storey_bh(
@@ -134,12 +144,16 @@ def c_storey_bh(
     if not (0.0 < tau <= 1.0):
         raise ValueError("tau must lie in (0, 1]")
     _check_lambda(lam)
-    vals = _as_pvalues(pvalues)
+    p = _as_vector(pvalues)
+    vals = p.values
     keep = np.flatnonzero(vals <= tau)
     rejected, thr, pi0 = keep, 0.0, 1.0
     if keep.size:
-        inner = storey_bh(PValueVector(vals[keep] / tau), q, lam)
-        rejected, pi0 = keep[inner.rejected], inner.pi0_hat
+        # dividing by tau > 0 keeps the order, and p <= tau keeps p / tau in [0, 1]
+        conditioned = vals[keep] / tau
+        pi0 = min(_storey_pi0(conditioned, lam), 1.0)
+        inner = _step_up(conditioned, q, pi0, _at_or_below(p._ordered, tau) / tau)
+        rejected = keep[inner.rejected]
         thr = float(vals[rejected].max()) if rejected.size else 0.0
     return RejectionResult(rejected=rejected, threshold=thr, pi0_hat=pi0, m=vals.size)
 
@@ -157,14 +171,15 @@ def d_storey_bh(
     _check_q(q)
     if not (0.0 <= lam < tau <= 1.0):
         raise ValueError("need 0 <= lambda < tau <= 1")
-    vals = _as_pvalues(pvalues)
+    p = _as_vector(pvalues)
+    vals = p.values
     m = vals.size
     if m == 0:
         raise ValueError("cannot run the discarding procedure on an empty vector")
     # in Python floats, which overflow to inf without a warning
     pi0 = ((1.0 + int(((vals > lam) & (vals <= tau)).sum()))
            / (m * (float(tau) - float(lam))))
-    return _step_up(vals, q, pi0, scan=vals[vals <= tau])
+    return _step_up(vals, q, pi0, _at_or_below(p._ordered, tau))
 
 
 def compute_metrics(result: RejectionResult, truth) -> ErrorMetrics:

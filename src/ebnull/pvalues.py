@@ -3,12 +3,15 @@
 Every p-value is P(Z >= z), read off a null law's survival function: the
 unit Gaussian's for the textbook p-values and a fitted null model's for the
 empirical-Bayes ones.  Both share one container, whose checks every
-consumer applies to raw vectors too, through ``_as_pvalues``.
+consumer applies to raw vectors too, through ``_as_vector``.  The container
+holds a read-only copy of its values and sorts it at most once, however
+many procedures read the order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import special
@@ -18,25 +21,41 @@ from .nullmodel import NullModel, _as_values
 
 @dataclass(frozen=True)
 class PValueVector:
-    """P-values in [0, 1], one per statistic."""
+    """P-values in [0, 1], one per statistic.
+
+    ``values`` is the vector's own read-only copy of its input, so the
+    sorted copy the step-up procedures share, made on first use, always
+    matches it.
+    """
 
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)
         if values.ndim != 1:
             raise ValueError("p-values must form a one-dimensional vector")
         # NaN fails both comparisons, so it is refused with the out-of-range values
         if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
             raise ValueError("p-values must lie in [0, 1]")
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
+
+    @cached_property
+    def _ordered(self) -> np.ndarray:
+        """The values in ascending order, read-only."""
+        ordered = np.sort(self.values)
+        ordered.flags.writeable = False
+        return ordered
+
+
+def _as_vector(p) -> PValueVector:
+    """``p`` itself if it is a ``PValueVector``, else one built from it."""
+    return p if isinstance(p, PValueVector) else PValueVector(p)
 
 
 def _as_pvalues(p) -> np.ndarray:
-    """The values of a ``PValueVector``, or of one built from ``p``."""
-    if isinstance(p, PValueVector):
-        return p.values
-    return PValueVector(p).values
+    """The values of ``_as_vector(p)``."""
+    return _as_vector(p).values
 
 
 def standard_pvalues(sample) -> PValueVector:

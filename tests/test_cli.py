@@ -517,6 +517,29 @@ def test_simulate_bad_grid(capsys):
     assert json.loads(capsys.readouterr().err) == {"error": "--rho-grid grid is empty"}
 
 
+def test_an_underscore_in_a_number_is_refused(tmp_path, capsys):
+    # float() reads the digit-group underscore of Python source, so "1_5"
+    # was once taken for 15.0; every number the command line reads refuses it
+    path = _write(tmp_path / "in.csv", "id,statistic\ng1,0.5\na,1_5\n")
+    assert main(["fit-null", "--input", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "line 3: cannot parse statistic from '1_5'"}
+    # the first line of a plain file, and far past the first block of lines
+    assert (_ingest_error(tmp_path, "1_5\n2.0\n")
+            == "line 1: cannot parse statistic from '1_5'")
+    rows = [repr(i * 0.001) for i in range(20000)]
+    rows[15000] = " -2_0.5 "
+    assert (_ingest_error(tmp_path, "\n".join(rows) + "\n")
+            == "line 15001: cannot parse statistic from '-2_0.5'")
+    text = _MATRIX_HEAD + "r0,1,2,3,5\nr1,1,2_0,3,5\n"
+    assert _tstats_error(tmp_path, capsys, text) == "line 3: cannot parse value from '2_0'"
+    for flag in ("--rho-grid", "--sigma0-grid"):
+        assert main(["simulate", flag, "1_0", "--n-reps", "1"]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": f"cannot parse {flag} grid from '1_0'"}
+
+
 def test_simulate_rejects_bad_xi_quantile(capsys):
     # a configuration error, not a run of failed replications with nan rows
     assert main(["simulate", "--rho-grid", "0.8", "--n-reps", "2",

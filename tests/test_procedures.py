@@ -24,6 +24,8 @@ from ebnull.procedures import (
     storey_bh,
     storey_pi0,
 )
+from ebnull.pvalues import PValueVector, standard_pvalues
+from ebnull.simulate import SimScenario, TwoPointPrior, generate, run_methods
 
 # ---------------------------------------------------------------------------
 # brute-force reference implementations
@@ -331,6 +333,81 @@ def test_discarding_with_full_window_is_uncapped_storey():
         expected = set() if thr is None else set(np.flatnonzero(vals <= thr).tolist())
         assert set(d.rejected.tolist()) == expected
         assert d.pi0_hat == pytest.approx(pi0)
+
+
+# ---------------------------------------------------------------------------
+# one sorted copy, shared by every procedure a vector is passed to
+
+
+@st.composite
+def _shared_cases(draw):
+    """p-values with ties, exact zeros, values equal to tau and to each lambda
+    and, at times, nothing at or below tau, with the procedures' settings."""
+    tau = draw(st.sampled_from([0.3, 0.45, 0.5, 0.7, 1.0]))
+    lam = draw(st.sampled_from([0.0, 0.3, 0.5, 0.8]))
+    lam_discard = draw(st.sampled_from([0.0, 0.1, 0.25]))
+    pool = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10))
+    pool += [0.0, tau, lam, lam_discard, 1.0]
+    if tau < 1.0 and draw(st.booleans()):
+        pool = [v for v in pool if v > tau] + [1.0]
+    p = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+    return np.array(p), draw(st.floats(0.001, 0.999)), tau, lam, lam_discard
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_shared_cases())
+@example(case=(np.array([0.5]), 0.1, 0.5, 0.5, 0.25))  # m = 1, p = tau = lambda
+@example(case=(np.array([0.9, 0.6, 0.9]), 0.3, 0.5, 0.5, 0.25))  # none at or below tau
+def test_a_shared_vector_gives_what_fresh_vectors_give(case):
+    vals, q, tau, lam, lam_discard = case
+    procedures = [
+        ("bh", lambda p: bh(p, q)),
+        ("stbh", lambda p: storey_bh(p, q, lam)),
+        ("c-stbh", lambda p: c_storey_bh(p, q, tau=tau, lam=lam)),
+        ("d-stbh", lambda p: d_storey_bh(p, q, lam=lam_discard, tau=tau)),
+    ]
+    for order in (procedures, procedures[::-1]):
+        shared = PValueVector(vals)
+        for name, procedure in order:
+            got, fresh = procedure(shared), procedure(vals.copy())
+            assert got.rejected.tolist() == fresh.rejected.tolist(), name
+            assert got.threshold == fresh.threshold, name
+            assert got.pi0_hat == fresh.pi0_hat, name
+            assert got.m == fresh.m, name
+
+
+def test_run_methods_sorts_a_shared_vector_once(monkeypatch):
+    sample = generate(SimScenario(TwoPointPrior(0.6), m=500, n_reps=1, base_seed=3), 0)
+    p = standard_pvalues(sample)
+    sorted_floats = []
+    real_sort = np.sort
+
+    def counting_sort(a, *args, **kwargs):
+        # RejectionResult sorts its integer indices; only p-values count here
+        if np.asarray(a).dtype == float:
+            sorted_floats.append(a)
+        return real_sort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", counting_sort)
+    results = run_methods(("bh", "stbh", "c-stbh", "d-stbh"), p, None, 0.1, 0.5, 0.5, 0.25)
+    assert all(r.n_rejected for r in results.values())
+    assert len(sorted_floats) == 1 and sorted_floats[0] is p.values
+
+
+def test_pvalue_vector_cannot_go_stale():
+    raw = np.array([0.01, 0.9, 0.002, 0.3, 0.04])
+    p = PValueVector(raw)
+    with pytest.raises(ValueError, match="read-only"):
+        p.values[0] = 0.5
+    procedures = (bh, storey_bh, c_storey_bh, d_storey_bh)
+    first = [procedure(p, 0.2) for procedure in procedures]
+    raw[:] = 1.0  # the caller's own array, not the vector's copy
+    for procedure, result in zip(procedures, first):
+        again = procedure(p, 0.2)
+        assert again.rejected.tolist() == result.rejected.tolist() != [], procedure
+        assert again.threshold == result.threshold, procedure
+    with pytest.raises(ValueError, match="read-only"):
+        p._ordered[0] = 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,9 @@ def write_inputs(outdir: str):
     850 rows (also behind a UTF-8 byte-order mark), as the CSV plus one
     row at -100 and as the CSV plus rows at -1e3 and -1e6, a 3000-row
     two-group matrix with blank and NA cells, and
-    the inputs of the failing runs, among them the matrix's first rows
-    under a header that names a group column twice."""
+    the inputs of the failing runs, among them the 850 rows plus one
+    statistic written with a digit-group underscore, and the matrix's
+    first rows under a header that names a group column twice."""
     rng = np.random.default_rng(20240)
     z = np.concatenate([-np.abs(rng.normal(0.0, 1.5, 18000)) + rng.standard_normal(18000),
                         rng.normal(3.0, 1.0, 2000)])
@@ -65,6 +66,8 @@ def write_inputs(outdir: str):
         "dup-id.csv": "id,statistic,id\n" + "".join(
             f"g{i},{v!r},h{i}\n" for i, v in enumerate(z[:200].tolist())),
         "bad.csv": "id,statistic\n# comment\ng1,0.5\ng2,oops\n",
+        # float() would read "1_5" as 15.0
+        "underscore.csv": "id,statistic\n" + "\n".join(rows[:850]) + "\nu1,1_5\n",
         # a quoted id longer than csv's field-size limit of 131072
         "huge-cell.csv": 'id,statistic\n"' + "x" * 140_000 + '",0.5\n',
     }
@@ -126,6 +129,7 @@ def runs():
         ("err-missing-file", ["fit-null", "--input", "missing.txt"]),
         ("err-unwritable", ["test", "--input", "stats.csv", "--output", "no-dir/report.json"]),
         ("err-bad-cell", ["test", "--input", "bad.csv"]),
+        ("err-underscore", ["fit-null", "--input", "underscore.csv"]),
         ("err-dup-header", ["test", "--input", "dup.csv"]),
         ("err-dup-id", ["test", "--input", "dup-id.csv"]),
         ("err-huge-cell", ["test", "--input", "huge-cell.csv"]),
